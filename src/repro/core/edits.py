@@ -32,19 +32,17 @@ class _Node:
 
     __slots__ = ("point", "prev", "next", "out_sid", "seq")
 
-    _counter = 0
-
-    def __init__(self, point: Point) -> None:
+    def __init__(self, point: Point, seq: int) -> None:
         self.point = point
         self.prev: _Node | None = None
         self.next: _Node | None = None
         #: Id of the indexed segment (self -> self.next), if any.
         self.out_sid: int | None = None
-        #: Creation order, used as a deterministic tie-breaker when
-        #: sorting occurrences by cost (node sets otherwise iterate in
-        #: memory-address order, which varies between runs).
-        _Node._counter += 1
-        self.seq = _Node._counter
+        #: Creation order within the trajectory, used as a
+        #: deterministic tie-breaker when sorting occurrences by cost
+        #: (node sets otherwise iterate in memory-address order, which
+        #: varies between runs).
+        self.seq = seq
 
 
 @dataclass(slots=True)
@@ -81,10 +79,11 @@ class EditableTrajectory:
         self._node_by_sid: dict[int, _Node] = {}
         self.total_utility_loss = 0.0
         self._bbox_cache: tuple | None = None
+        self._nodes_made = 0
         starts: list[_Node] = []
         previous: _Node | None = None
         for point in trajectory:
-            node = _Node(point)
+            node = self._new_node(point)
             self._register_node(node)
             if previous is None:
                 self._head = node
@@ -108,6 +107,10 @@ class EditableTrajectory:
                 self._node_by_sid[sid] = node
 
     # -- bookkeeping -----------------------------------------------------------
+
+    def _new_node(self, point: Point) -> _Node:
+        self._nodes_made += 1
+        return _Node(point, self._nodes_made)
 
     def _register_node(self, node: _Node) -> None:
         self._nodes_by_loc.setdefault(node.point.loc, set()).add(node)
@@ -221,7 +224,7 @@ class EditableTrajectory:
         assert after is not None
         loss = point_segment_distance(loc, start.point.coord, after.point.coord)
         t = (start.point.t + after.point.t) / 2.0
-        node = _Node(Point(loc[0], loc[1], t))
+        node = self._new_node(Point(loc[0], loc[1], t))
         self._unindex_segment(start)
         start.next = node
         node.prev = start
@@ -236,7 +239,7 @@ class EditableTrajectory:
     def append(self, loc: LocationKey) -> EditOutcome:
         """Append an occurrence at the tail (fallback when no segment exists)."""
         t = self._tail.point.t + 1.0 if self._tail is not None else 0.0
-        node = _Node(Point(loc[0], loc[1], t))
+        node = self._new_node(Point(loc[0], loc[1], t))
         loss = 0.0
         if self._tail is None:
             self._head = self._tail = node
@@ -300,19 +303,28 @@ class EditableTrajectory:
     def delete_cheapest(self, loc: LocationKey, count: int) -> EditOutcome:
         """Delete up to ``count`` occurrences of ``loc``, cheapest first.
 
-        Costs are recomputed after every removal since deleting one
-        occurrence changes its neighbours' replacement segments.
+        A node's cost reads only its two neighbours, so after each
+        removal only the removed node's neighbours are re-costed: the
+        same choices as re-costing every occurrence each time.
         """
+        costs = {
+            node: self.deletion_cost(node)
+            for node in self._nodes_by_loc.get(loc, ())
+        }
         total = 0.0
         removed = 0
         for _ in range(count):
-            costs = self.occurrence_costs(loc)
             if not costs:
                 break
-            _, node = costs[0]
+            node = min(costs, key=lambda n: (costs[n], n.seq))
+            before, after = node.prev, node.next
+            del costs[node]
             outcome = self.delete_node(node)
             total += outcome.utility_loss
             removed += 1
+            for neighbour in (before, after):
+                if neighbour in costs:
+                    costs[neighbour] = self.deletion_cost(neighbour)
         return EditOutcome(utility_loss=total, delta_points=-removed)
 
     def delete_all(self, loc: LocationKey) -> EditOutcome:

@@ -177,10 +177,18 @@ class IntraTrajectoryModifier:
 
         Mirrors Algorithm 3's usage: one top-``∆f`` search, then one
         insertion per returned segment (splitting a segment does not
-        invalidate the other results).
+        invalidate the other results). On the hierarchical grid the
+        search goes flat first; the paper's search answers only when a
+        tie at the ``∆f``-th distance leaves the choice to its
+        traversal order.
         """
         report = ModificationReport()
-        hits = search_knn(editable.index, loc, count, self.strategy)
+        index = editable.index
+        hits = None
+        if isinstance(index, HierarchicalGridIndex):
+            hits = index.knn_if_unique(loc, count)
+        if hits is None:
+            hits = search_knn(index, loc, count, self.strategy)
         for sid, _ in hits:
             outcome = editable.insert_into_segment(loc, sid)
             report.utility_loss += outcome.utility_loss

@@ -128,6 +128,12 @@ class SegmentRegistry:
         self._next_id += 1
         return segment
 
+    @property
+    def next_sid(self) -> int:
+        """The sid the next :meth:`allocate` returns; every sid so far
+        is below it."""
+        return self._next_id
+
     def release(self, sid: int) -> IndexedSegment:
         try:
             return self._segments.pop(sid)

@@ -19,6 +19,10 @@ Three K-nearest-segment search strategies are provided:
 
 Search statistics (cells visited, segments checked) are recorded per
 call for the efficiency study.
+
+:meth:`HierarchicalGridIndex.knn_if_unique` is the local stage's
+flat-first shortcut: one distance pass over every live segment, taken
+only when the answer cannot depend on tie-breaking (see its docstring).
 """
 
 from __future__ import annotations
@@ -103,6 +107,12 @@ class HierarchicalGridIndex:
         #: and every search checks them exactly.
         self._overflow: set[int] = set()
         self.last_stats = SearchStats()
+        #: Columnar ``(ax, ay, bx, by)`` rows indexed by sid, plus a
+        #: live mask, for :meth:`knn_if_unique`. Built on the first
+        #: flat query and kept current by every later insert/remove,
+        #: so an index that is never queried flat pays nothing.
+        self._table: np.ndarray | None = None
+        self._live: np.ndarray | None = None
 
     # -- cell geometry -----------------------------------------------------------
 
@@ -170,6 +180,10 @@ class HierarchicalGridIndex:
 
     def insert(self, a: Coord, b: Coord, owner: str | None = None) -> int:
         segment = self._registry.allocate(a, b, owner)
+        if self._table is not None:
+            self._reserve_rows(segment.sid + 1)
+            self._table[segment.sid] = (a[0], a[1], b[0], b[1])
+            self._live[segment.sid] = True
         if not (self.bbox.contains(a) and self.bbox.contains(b)):
             self._cell_of_sid[segment.sid] = None
             self._overflow.add(segment.sid)
@@ -220,6 +234,12 @@ class HierarchicalGridIndex:
         levels = self._finest - diverging
         cxs = fx_a >> diverging
         cys = fy_a >> diverging
+        if self._table is not None:
+            first = self._registry.next_sid
+            self._reserve_rows(first + len(pairs))
+            self._table[first:first + len(pairs), :2] = starts
+            self._table[first:first + len(pairs), 2:] = ends
+            self._live[first:first + len(pairs)] = True
         sids: list[int] = []
         for position, (a, b) in enumerate(pairs):
             segment = self._registry.allocate(a, b, owner)
@@ -275,6 +295,8 @@ class HierarchicalGridIndex:
 
     def remove(self, sid: int) -> None:
         self._registry.release(sid)
+        if self._live is not None:
+            self._live[sid] = False
         key = self._cell_of_sid.pop(sid)
         if key is None:
             self._overflow.discard(sid)
@@ -336,6 +358,56 @@ class HierarchicalGridIndex:
         stats = SearchStats()
         self.last_stats = stats
         return [self._knn_one(q, k, strategy, stats) for q in qs]
+
+    def knn_if_unique(self, q: Coord, k: int) -> list[tuple[int, float]] | None:
+        """:meth:`knn` by one flat pass, or None when ties could matter.
+
+        Computes every live segment's distance in one
+        :meth:`SegmentArray.distances_to` pass and stable-sorts it, so
+        the result is in (distance, sid) order. When the k-th distance
+        is strictly below the (k+1)-th, the k-set is unique and this
+        equals :meth:`knn` under every strategy: both sort the same set
+        by the same key, and the kernel is row-independent, so a
+        segment's distance is the same float in a cell's batch and here.
+        On a tie at the k-th distance the hierarchy's traversal order
+        decides which tied segment :meth:`knn` keeps, so this returns
+        None, as it does while overflow segments exist; the caller then
+        runs :meth:`knn`. Not counted in :attr:`last_stats`.
+        """
+        if k < 1:
+            raise ValueError("k must be positive")
+        if self._overflow:
+            return None
+        if self._table is None:
+            self._build_table()
+        sids = np.flatnonzero(self._live[: self._registry.next_sid])
+        rows = self._table[sids]
+        distances = SegmentArray(rows[:, :2], rows[:, 2:]).distances_to(q)
+        order = np.argsort(distances, kind="stable")
+        if len(order) > k:
+            if distances[order[k - 1]] == distances[order[k]]:
+                return None
+            order = order[:k]
+        return [(int(sids[i]), float(distances[i])) for i in order]
+
+    def _build_table(self) -> None:
+        size = max(self._registry.next_sid, 64)
+        self._table = np.empty((size, 4))
+        self._live = np.zeros(size, dtype=bool)
+        for segment in self._registry:
+            self._table[segment.sid] = (*segment.a, *segment.b)
+            self._live[segment.sid] = True
+
+    def _reserve_rows(self, rows: int) -> None:
+        """Grow the flat table (by doubling) to hold ``rows`` sids."""
+        if rows <= len(self._live):
+            return
+        size = max(rows, 2 * len(self._live))
+        table = np.empty((size, 4))
+        table[: len(self._table)] = self._table
+        live = np.zeros(size, dtype=bool)
+        live[: len(self._live)] = self._live
+        self._table, self._live = table, live
 
     def _knn_one(
         self, q: Coord, k: int, strategy: str, stats: SearchStats

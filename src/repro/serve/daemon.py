@@ -51,6 +51,19 @@ __all__ = ["ServeConfig", "Daemon"]
 #: syscalls per MiB.
 CHUNK_BYTES = 64 * 1024
 
+#: Largest request body read. Every route takes a small JSON object
+#: (names, numbers, a method spec); a larger Content-Length is refused
+#: with 413 before any of it is read.
+MAX_BODY_BYTES = 1024 * 1024
+
+
+class _BodyError(Exception):
+    """A request body refused before it is read: ``status`` and why."""
+
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -207,7 +220,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BodyError(400, f"invalid Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyError(
+                413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -250,6 +273,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self._shutdown()
             else:
                 self._send_json(404, {"error": "unknown-route", "path": path})
+        except _BodyError as exc:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            error = "bad-request" if exc.status == 400 else "body-too-large"
+            self._send_json(exc.status, {"error": error, "detail": str(exc)})
         except json.JSONDecodeError as exc:
             self._send_json(
                 400, {"error": "bad-request", "detail": f"invalid JSON: {exc}"}

@@ -28,7 +28,7 @@ real-world data should be quantized first (see
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.geo.geometry import BBox, Coord, diameter, path_length, point_distance
@@ -60,6 +60,12 @@ class Point:
     x: float
     y: float
     t: float = 0.0
+    #: :attr:`loc`, computed once: keys are read far more often than
+    #: points are made. Not part of equality, hashing or repr.
+    _loc: LocationKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_loc", location_key(self.x, self.y))
 
     @property
     def coord(self) -> Coord:
@@ -68,7 +74,7 @@ class Point:
     @property
     def loc(self) -> LocationKey:
         """The quantized spatial identity used for frequency counting."""
-        return location_key(self.x, self.y)
+        return self._loc
 
     def distance_to(self, other: "Point") -> float:
         return point_distance(self.coord, other.coord)

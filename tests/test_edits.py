@@ -1,6 +1,7 @@
 """Tests for EditableTrajectory: edit operations, costs, index sync."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.edits import EditableTrajectory
 from repro.geo.geometry import BBox
@@ -189,3 +190,116 @@ class TestSharedIndex:
         result = e.to_trajectory()
         assert [p.coord for p in result] == [(0, 0), (10, 0), (10, 10), (50, 50)]
         assert len(index) == 3
+
+
+def node_seqs(e):
+    seqs = []
+    node = e._head
+    while node is not None:
+        seqs.append(node.seq)
+        node = node.next
+    return seqs
+
+
+class TestSequenceNumbers:
+    def test_seq_is_per_trajectory(self):
+        coords = [(0, 0), (5, 5), (0, 0), (7, 7)]
+        alone = editable(coords)
+        for other in range(3):
+            editable([(other, 0), (other, 9)], object_id=f"o{other}")
+        later = editable(coords)
+        assert node_seqs(later) == node_seqs(alone) == [1, 2, 3, 4]
+
+    def test_edits_continue_the_trajectory_count(self):
+        e = editable([(0, 0), (10, 0)])
+        editable([(50, 50), (60, 60)], object_id="other")
+        sid = e.index.knn((5, 1), 1)[0][0]
+        e.insert_into_segment((5.0, 1.0), sid)
+        e.append((20.0, 0.0))
+        assert node_seqs(e) == [1, 3, 2, 4]
+
+
+def delete_cheapest_reference(e, loc, count):
+    """delete_cheapest as it was specified: re-cost every occurrence of
+    ``loc`` after each removal and delete the cheapest, ties by seq."""
+    total = 0.0
+    removed = 0
+    for _ in range(count):
+        costs = e.occurrence_costs(loc)
+        if not costs:
+            break
+        total += e.delete_node(costs[0][1]).utility_loss
+        removed += 1
+    return total, removed
+
+
+# Runs of points on a 4x4 lattice: locations repeat often, runs of one
+# location are common, and deletions re-link occurrences next to each
+# other (a deletion inside a run changes the cost of the next node).
+lattice_coords = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 3)),
+    min_size=1,
+    max_size=15,
+).map(lambda runs: [(x, y) for x, y, length in runs for _ in range(length)])
+
+
+class TestIncrementalDeleteCheapest:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        coords=lattice_coords,
+        pick=st.integers(0, 100),
+        inserts=st.lists(st.integers(0, 100), max_size=4),
+        count=st.integers(1, 12),
+    )
+    def test_matches_full_recompute(self, coords, pick, inserts, count):
+        locs = sorted({(float(x * 10), float(y * 10)) for x, y in coords})
+        loc = locs[pick % len(locs)]
+        scaled = [(x * 10, y * 10) for x, y in coords]
+        fast = editable(scaled)
+        slow = editable(scaled)
+        # Inserted occurrences are newer than their neighbours, so seq
+        # order stops following trajectory order.
+        for choice in inserts:
+            sids = sorted(fast._node_by_sid)
+            if sids:
+                fast.insert_into_segment(loc, sids[choice % len(sids)])
+                slow.insert_into_segment(loc, sids[choice % len(sids)])
+        outcome = fast.delete_cheapest(loc, count)
+        total, removed = delete_cheapest_reference(slow, loc, count)
+        assert outcome.utility_loss == total
+        assert outcome.delta_points == -removed
+        assert fast.to_trajectory().points == slow.to_trajectory().points
+        assert fast.total_utility_loss == slow.total_utility_loss
+        assert sorted(
+            (s.a, s.b) for s in fast.index._registry
+        ) == sorted((s.a, s.b) for s in slow.index._registry)
+
+    def test_removal_recosts_the_next_node(self):
+        # Both run members cost 0 until the first goes; the second then
+        # costs 5, more than the lone occurrence near <(4,6), (6,5)>.
+        coords = [(0, 0), (5, 5), (5, 5), (10, 0), (4, 6), (5, 5), (6, 5)]
+        fast = editable(coords)
+        slow = editable(coords)
+        outcome = fast.delete_cheapest((5.0, 5.0), 2)
+        total, removed = delete_cheapest_reference(slow, (5.0, 5.0), 2)
+        assert [p.coord for p in fast.to_trajectory()][1:4] == [
+            (5.0, 5.0), (10.0, 0.0), (4.0, 6.0)
+        ]
+
+    def test_removal_recosts_the_previous_node(self):
+        # The inserted run member precedes the older one but is newer,
+        # so the older one goes first and the inserted one is re-costed.
+        coords = [(0, 0), (5, 5), (10, 0), (4, 6), (5, 5), (6, 5)]
+        fast = editable(coords)
+        slow = editable(coords)
+        for e in (fast, slow):
+            e.insert_into_segment((5.0, 5.0), e.index.knn((2.0, 2.0), 1)[0][0])
+        outcome = fast.delete_cheapest((5.0, 5.0), 2)
+        total, removed = delete_cheapest_reference(slow, (5.0, 5.0), 2)
+        assert (outcome.utility_loss, -outcome.delta_points) == (total, removed)
+        assert fast.to_trajectory().points == slow.to_trajectory().points
+        assert [p.coord for p in fast.to_trajectory()][:3] == [
+            (0.0, 0.0), (5.0, 5.0), (10.0, 0.0)
+        ]
+        assert (outcome.utility_loss, -outcome.delta_points) == (total, removed)
+        assert fast.to_trajectory().points == slow.to_trajectory().points

@@ -8,7 +8,7 @@ brute-force linear scan.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.geo.geometry import BBox
 from repro.index.base import IndexedSegment, SegmentRegistry
@@ -363,3 +363,94 @@ class TestPruningPower:
             index_bud.knn(q, 3, strategy="bottom_up_down")
             checked_bud += index_bud.last_stats.segments_checked
         assert checked_bud <= checked_td * 1.1
+
+
+STRATEGIES = ("top_down", "bottom_up", "bottom_up_down")
+#: Holds every random_segments() segment, so none overflows.
+WIDE = BBox(-100.0, -100.0, 1100.0, 1100.0)
+lattice_point = st.tuples(
+    st.integers(0, 10).map(lambda i: i * 100.0),
+    st.integers(0, 10).map(lambda i: i * 100.0),
+)
+
+
+class TestKnnIfUnique:
+    """The flat one-pass answer equals knn whenever it answers at all."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(0, 60),
+        roads=st.lists(st.tuples(lattice_point, lattice_point), max_size=40),
+        removals=st.integers(0, 20),
+        k=st.integers(1, 8),
+        q=st.one_of(
+            lattice_point,
+            st.tuples(
+                st.floats(min_value=-200, max_value=1200, allow_nan=False),
+                st.floats(min_value=-200, max_value=1200, allow_nan=False),
+            ),
+        ),
+    )
+    def test_equals_knn_unless_kth_distance_tied(
+        self, seed, n, roads, removals, k, q
+    ):
+        # Lattice "roads", each traversed twice, meet and repeat, so
+        # ties at the k-th distance are common, as in the local stage.
+        index = HierarchicalGridIndex(WIDE, levels=6)
+        segments = random_segments(n, seed=seed)
+        half = len(segments) // 2
+        for a, b in segments[:half]:
+            index.insert(a, b)
+        # The first flat query builds the table; the edits after it
+        # must keep the table current.
+        index.knn_if_unique((500.0, 500.0), 1)
+        index.insert_many(segments[half:] + roads + roads)
+        live = sorted(segment.sid for segment in iter_registry(index))
+        for sid in random.Random(seed).sample(live, min(removals, len(live))):
+            index.remove(sid)
+        got = index.knn_if_unique(q, k)
+        ordered = [d for _, d in index.iter_nearest(q)]
+        tied = len(ordered) > k and ordered[k - 1] == ordered[k]
+        event("k-th distance tied" if tied else "untied")
+        if tied:
+            assert got is None
+        else:
+            for strategy in STRATEGIES:
+                assert got == index.knn(q, k, strategy=strategy), strategy
+
+    def test_kth_tie_returns_none(self):
+        index = HierarchicalGridIndex(WIDE, levels=6)
+        index.insert((0.0, 0.0), (100.0, 0.0))
+        index.insert((0.0, 0.0), (100.0, 0.0))  # a second traversal
+        index.insert((0.0, 50.0), (100.0, 50.0))
+        assert index.knn_if_unique((50.0, 10.0), 1) is None
+        # A tie below the k-th place is fine: the k-set is still unique.
+        assert [sid for sid, _ in index.knn_if_unique((50.0, 10.0), 2)] == [0, 1]
+        assert index.knn_if_unique((50.0, 10.0), 2) == index.knn((50.0, 10.0), 2)
+
+    def test_overflow_segments_return_none(self):
+        index = HierarchicalGridIndex(BOX, levels=5)
+        index.insert((10.0, 10.0), (20.0, 20.0))
+        outside = index.insert((900.0, 990.0), (905.0, 1100.0))
+        assert index.knn_if_unique((15.0, 15.0), 1) is None
+        index.remove(outside)
+        assert index.knn_if_unique((15.0, 15.0), 1) == index.knn((15.0, 15.0), 1)
+
+    def test_small_and_empty_indexes(self):
+        index = HierarchicalGridIndex(WIDE, levels=4)
+        assert index.knn_if_unique((0.0, 0.0), 3) == []
+        index.insert((0.0, 0.0), (10.0, 0.0))
+        index.insert((0.0, 5.0), (10.0, 5.0))
+        assert index.knn_if_unique((5.0, 1.0), 5) == index.knn((5.0, 1.0), 5)
+        with pytest.raises(ValueError):
+            index.knn_if_unique((5.0, 1.0), 0)
+
+    def test_table_built_only_on_first_flat_query(self):
+        index = HierarchicalGridIndex(WIDE, levels=5)
+        index.insert_many(random_segments(30, seed=4))
+        index.knn((500.0, 500.0), 3)
+        index.knn_batch([(1.0, 1.0), (900.0, 900.0)], 2)
+        assert index._table is None
+        index.knn_if_unique((500.0, 500.0), 3)
+        assert index._table is not None

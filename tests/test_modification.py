@@ -500,3 +500,51 @@ class TestBBoxPrunedSelection:
         modified, report = self.make("bbox").apply(dataset, perturbation)
         assert modified.trajectory_frequencies()[loc] == 2
         assert report.unrealised == 0
+
+
+class TestFlatFirstLocalSearch:
+    """The local stage's flat kNN shortcut never changes an output byte."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        from repro.datagen.generator import FleetConfig, generate_fleet
+
+        # A small road lattice: trajectories traverse the same road
+        # segments again and again, so k-th distance ties are common.
+        return generate_fleet(
+            FleetConfig(
+                n_objects=12, points_per_trajectory=80, rows=6, cols=6, seed=5
+            )
+        ).dataset
+
+    @staticmethod
+    def release(model, fleet, path):
+        from repro.api import run
+        from repro.trajectory.io import write_csv
+
+        result = run({"kind": model, "params": {"epsilon": 1.0, "seed": 3}}, fleet)
+        write_csv(result.dataset, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("model", ["gl", "purel"])
+    def test_outputs_identical_with_and_without_flat_answers(
+        self, model, fleet, tmp_path, monkeypatch
+    ):
+        answers = []
+        flat = HierarchicalGridIndex.knn_if_unique
+
+        def recording(index, q, k):
+            hits = flat(index, q, k)
+            answers.append(hits is not None)
+            return hits
+
+        monkeypatch.setattr(HierarchicalGridIndex, "knn_if_unique", recording)
+        with_flat = self.release(model, fleet, tmp_path / "flat.csv")
+        # Both paths must have been taken for the comparison to mean
+        # anything: flat answers, and tie fallbacks to the search.
+        assert any(answers) and not all(answers)
+        monkeypatch.setattr(
+            HierarchicalGridIndex, "knn_if_unique", lambda index, q, k: None
+        )
+        without = self.release(model, fleet, tmp_path / "search.csv")
+        assert with_flat == without

@@ -5,6 +5,7 @@ Each test boots a real `Daemon` on an ephemeral port and talks plain
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -15,6 +16,7 @@ import pytest
 from repro.api import run
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.serve import Daemon, ServeConfig
+from repro.serve.daemon import MAX_BODY_BYTES
 from repro.trajectory.io import write_csv
 
 
@@ -127,6 +129,41 @@ class TestEndpoints:
     def test_malformed_bodies_400(self, client):
         assert client.post("/v1/jobs", {"tenant": 5, "dataset": "x"})[0] == 400
         assert client.post("/v1/tenants", {"tenant": "x"})[0] == 400
+
+
+def raw_post(address, path, content_length):
+    """POST with a hand-written Content-Length and no body; returns
+    ``(status, parsed body)``. The socket timeout turns a handler that
+    waits for body bytes into a test failure instead of a hang."""
+    with socket.create_connection(address, timeout=5) as conn:
+        conn.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        response = b""
+        while chunk := conn.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestRequestBodies:
+    @pytest.mark.parametrize("length", ["-1", "-4096", "ten", "1e3"])
+    def test_invalid_content_length_400(self, daemon, length):
+        status, body = raw_post(daemon.address, "/v1/tenants", length)
+        assert status == 400
+        assert body["error"] == "bad-request"
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 10**15])
+    def test_oversized_body_413_before_reading(self, daemon, length):
+        status, body = raw_post(daemon.address, "/v1/jobs", length)
+        assert status == 413
+        assert body["error"] == "body-too-large"
+
+    def test_daemon_serves_after_refusals(self, daemon, client):
+        raw_post(daemon.address, "/v1/jobs", -1)
+        raw_post(daemon.address, "/v1/jobs", MAX_BODY_BYTES + 1)
+        assert client.get("/v1/health")[0] == 200
 
 
 class TestJobLifecycle:

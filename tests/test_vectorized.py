@@ -96,3 +96,52 @@ class TestKnn:
         assert [round(d, 6) for _, d in result] == [
             round(d, 6) for d in all_distances[: len(result)]
         ]
+
+
+lattice = st.tuples(
+    st.integers(-5, 5).map(lambda i: i * 100.0),
+    st.integers(-5, 5).map(lambda i: i * 100.0),
+)
+any_coord = st.one_of(coord, lattice)
+
+
+class TestRowIndependence:
+    """A segment's distance is the same float in any batch it is in.
+
+    The hierarchical grid answers kNN from per-cell batches, and its
+    flat shortcut (``knn_if_unique``) from a table gathered over every
+    live segment; the two agree bit for bit only because no row's
+    result depends on the other rows of its batch.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(any_coord, any_coord), min_size=1, max_size=80),
+        dead=st.lists(st.booleans(), max_size=80),
+        copies=st.integers(1, 8),
+        q=any_coord,
+    )
+    def test_alone_in_cell_batch_and_gathered_table(self, pairs, dead, copies, q):
+        # Copies make batches as long as a trajectory's segment table,
+        # where numpy's vectorised loops take over.
+        n = len(pairs)
+        batch = SegmentArray.from_pairs(pairs * copies).distances_to(q)
+        # A sid-indexed (ax, ay, bx, by) table with dead rows between
+        # the live ones, gathered the way the index gathers it.
+        rows, live = [], []
+        for position, (a, b) in enumerate(pairs * copies):
+            if position < len(dead) and dead[position]:
+                rows.append((7.0, -3.0, 11.0, 2.5))
+                live.append(False)
+            rows.append((*a, *b))
+            live.append(True)
+        table = np.array(rows)
+        gathered = table[np.flatnonzero(live)]
+        flat = SegmentArray(gathered[:, :2], gathered[:, 2:]).distances_to(q)
+        for i, (a, b) in enumerate(pairs):
+            alone = SegmentArray.from_pairs([(a, b)]).distances_to(q)[0]
+            cell = SegmentArray.from_pairs(pairs[i : i + 5]).distances_to(q)[0]
+            assert alone.tobytes() == cell.tobytes()
+            for copy in range(copies):
+                assert alone.tobytes() == batch[copy * n + i].tobytes()
+                assert alone.tobytes() == flat[copy * n + i].tobytes()
