@@ -1,18 +1,16 @@
-"""Benchmarks for the batch engine, the incremental kNN frontier, and
-the wave-planned global stage.
+"""Benchmarks for the batch engine, the wave-planned global stage, and
+the stream publisher.
 
-The headline comparison: the inter-trajectory (global) modification
-stage under its three candidate sources — the seed restart-scan, PR 1's
-incremental ``iter_nearest`` consumption, and the wave planner/executor
-path (read-only simulation rounds over a static index snapshot, edits
-applied in serial order). All three make identical selections; the
-bench isolates pure search/scheduling cost.
+The global-stage bench times the inter-trajectory modification through
+the wave planner/executor (read-only simulation rounds over a static
+index snapshot, edits applied in serial order); a companion check pins
+its output byte for byte to the serial per-location reference on the
+same workload.
 
-Runs on a dedicated fleet larger than the smoke preset so the restart
-overhead is visible, yet small enough for CI. Set
-``REPRO_BENCH_SCALE=paper`` to run the paper-scale fleet (500
-trajectories x 300 points, m=10) instead — the scale the engine's
-speedup targets are recorded at.
+Runs on a dedicated fleet larger than the smoke preset, yet small
+enough for CI. Set ``REPRO_BENCH_SCALE=paper`` to run the paper-scale
+fleet (500 trajectories x 300 points, m=10) instead — the scale the
+engine's speedup targets are recorded at.
 
 Wall-clock measurements land in the session :class:`repro.bench.BenchRecord`
 via the ``bench_timer`` fixture (see ``conftest``) — written to
@@ -56,66 +54,32 @@ def tf_perturbation(engine_fleet):
     )
 
 
-def _apply_inter(dataset, perturbation, candidate_source):
-    modifier = InterTrajectoryModifier(
-        make_index_factory("hierarchical"), candidate_source=candidate_source
-    )
-    return modifier.apply(dataset, perturbation)
-
-
-def _timed_inter(bench_timer, dataset, perturbation, candidate_source):
-    """Apply + record wall-clock under ``inter_modification.<source>_s``."""
-    return bench_timer(
-        "inter_modification",
-        f"{candidate_source}_s",
-        lambda: _apply_inter(dataset, perturbation, candidate_source),
-    )
-
-
-def test_bench_inter_restart_scan(
-    benchmark, bench_timer, engine_fleet, tf_perturbation
-):
-    """Baseline: the seed restart-scan candidate search."""
-    _, report = benchmark(
-        lambda: _timed_inter(
-            bench_timer, engine_fleet.dataset, tf_perturbation, "restart"
-        )
-    )
-    assert report.insertions > 0
-
-
-def test_bench_inter_incremental(
-    benchmark, bench_timer, engine_fleet, tf_perturbation
-):
-    """PR 1's engine path: lazy iter_nearest consumption."""
-    _, report = benchmark(
-        lambda: _timed_inter(
-            bench_timer, engine_fleet.dataset, tf_perturbation, "incremental"
-        )
-    )
-    assert report.insertions > 0
+def _modifier():
+    return InterTrajectoryModifier(make_index_factory("hierarchical"))
 
 
 def test_bench_inter_wave(
     benchmark, bench_timer, engine_fleet, tf_perturbation
 ):
-    """The wave planner/executor path (PR 4's global stage)."""
+    """The wave planner/executor path (the default global stage)."""
     _, report = benchmark(
-        lambda: _timed_inter(
-            bench_timer, engine_fleet.dataset, tf_perturbation, "wave"
+        lambda: bench_timer(
+            "inter_modification",
+            "wave_s",
+            lambda: _modifier().apply(engine_fleet.dataset, tf_perturbation),
         )
     )
     assert report.insertions > 0
 
 
-def test_wave_output_identical_to_incremental(engine_fleet, tf_perturbation):
+def test_wave_output_identical_to_reference(engine_fleet, tf_perturbation):
     """Not a bench: the wave path must be byte-identical to the serial
     reference on the bench workload itself."""
-    wave_out, wave_report = _apply_inter(
-        engine_fleet.dataset, tf_perturbation, "wave"
+    wave_out, wave_report = _modifier().apply(
+        engine_fleet.dataset, tf_perturbation
     )
-    serial_out, serial_report = _apply_inter(
-        engine_fleet.dataset, tf_perturbation, "incremental"
+    serial_out, serial_report = _modifier().apply_serial(
+        engine_fleet.dataset, tf_perturbation
     )
     for a, b in zip(wave_out, serial_out, strict=True):
         assert [(p.coord, p.t) for p in a] == [(p.coord, p.t) for p in b]
@@ -123,33 +87,6 @@ def test_wave_output_identical_to_incremental(engine_fleet, tf_perturbation):
     assert wave_report.insertions == serial_report.insertions
     assert wave_report.deletions == serial_report.deletions
     assert wave_report.unrealised == serial_report.unrealised
-
-
-def test_inter_modes_cost_equivalent(engine_fleet, tf_perturbation):
-    """Not a bench: the two modes must realise the same TF at (near)
-    the same total cost — the speedup is free.
-
-    Per-location selections are cost-identical; over a whole run,
-    exact-distance ties at the restart path's k boundary may resolve to
-    a different equally-cheap owner and compound into a sub-percent
-    utility difference, hence the loose tolerance.
-    """
-    restart_out, restart = _apply_inter(
-        engine_fleet.dataset, tf_perturbation, "restart"
-    )
-    incremental_out, incremental = _apply_inter(
-        engine_fleet.dataset, tf_perturbation, "incremental"
-    )
-    assert incremental.insertions == restart.insertions
-    assert incremental.deletions == restart.deletions
-    assert incremental.unrealised == restart.unrealised
-    assert (
-        incremental_out.trajectory_frequencies()
-        == restart_out.trajectory_frequencies()
-    )
-    assert incremental.utility_loss == pytest.approx(
-        restart.utility_loss, rel=1e-2
-    )
 
 
 def test_bench_local_stage_serial(benchmark, bench_timer, engine_fleet):

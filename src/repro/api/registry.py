@@ -227,7 +227,6 @@ def _frequency(
     index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
-    candidate_source: str = "wave",
     levels: int = 10,
     granularity: int = 512,
     global_first: bool = True,
@@ -242,7 +241,6 @@ def _frequency(
         index_backend=index_backend,
         search_strategy=search_strategy,
         trajectory_selection=trajectory_selection,
-        candidate_source=candidate_source,
         levels=levels,
         granularity=granularity,
         global_first=global_first,
@@ -262,7 +260,6 @@ def _gl(
     index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
-    candidate_source: str = "wave",
     levels: int = 10,
     granularity: int = 512,
     global_first: bool = True,
@@ -276,7 +273,6 @@ def _gl(
         index_backend=index_backend,
         search_strategy=search_strategy,
         trajectory_selection=trajectory_selection,
-        candidate_source=candidate_source,
         levels=levels,
         granularity=granularity,
         global_first=global_first,
@@ -295,7 +291,6 @@ def _pureg(
     index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
-    candidate_source: str = "wave",
     levels: int = 10,
     granularity: int = 512,
     seed: int | None = None,
@@ -308,7 +303,6 @@ def _pureg(
         index_backend=index_backend,
         search_strategy=search_strategy,
         trajectory_selection=trajectory_selection,
-        candidate_source=candidate_source,
         levels=levels,
         granularity=granularity,
         seed=seed,
@@ -326,7 +320,6 @@ def _purel(
     index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
-    candidate_source: str = "wave",
     levels: int = 10,
     granularity: int = 512,
     seed: int | None = None,
@@ -339,7 +332,6 @@ def _purel(
         index_backend=index_backend,
         search_strategy=search_strategy,
         trajectory_selection=trajectory_selection,
-        candidate_source=candidate_source,
         levels=levels,
         granularity=granularity,
         seed=seed,

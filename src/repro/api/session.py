@@ -8,8 +8,7 @@ frequency-family methods), the spec itself, and wall-clock timing.
 
 Results travel **with the return value** — nothing is stashed on
 shared instances, so concurrent runs can never clobber each other's
-reports (the ``last_report`` attribute survives only as a deprecated
-alias on the pipeline classes).
+reports.
 """
 
 from __future__ import annotations

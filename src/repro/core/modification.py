@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.core.edits import EditableTrajectory
 from repro.core.global_mechanism import TFPerturbation
@@ -30,7 +30,7 @@ from repro.geo.geometry import BBox, Coord
 from repro.index.base import SegmentIndex
 from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
-from repro.index.search import iter_nearest_via_knn, knn_batch_via_knn
+from repro.index.search import knn_batch_via_knn
 from repro.index.uniform import UniformGridIndex
 from repro.trajectory.model import LocationKey, Trajectory, TrajectoryDataset
 
@@ -88,18 +88,6 @@ def search_knn(
     if isinstance(index, HierarchicalGridIndex):
         return index.knn(q, k, strategy=strategy)
     return index.knn(q, k)
-
-
-def iter_nearest(index: SegmentIndex, q: Coord) -> Iterator[tuple[int, float]]:
-    """Dispatch incremental nearest-segment iteration to the index.
-
-    Every bundled backend implements ``iter_nearest`` natively; unknown
-    third-party indexes fall back to restart-doubling over ``knn``.
-    """
-    native = getattr(index, "iter_nearest", None)
-    if native is not None:
-        return native(q)
-    return iter_nearest_via_knn(index, q)
 
 
 def search_knn_batch(
@@ -241,7 +229,6 @@ def apply_decrease_selection(
 
 
 def apply_increase_selection(
-    shared_index: SegmentIndex,
     editables: dict[str, "EditableTrajectory"],
     loc: LocationKey,
     delta: int,
@@ -262,12 +249,9 @@ def apply_increase_selection(
         if not editable.node_for_segment(sid):
             # The segment vanished through an earlier edit (cannot
             # happen within one loc's batch, but guard anyway).
-            replacement = nearest_live_segment_of_owner(
-                shared_index, loc, editable
-            )
-            if replacement is None:
+            sid, _ = editable.nearest_own_segment(loc)
+            if sid is None:
                 continue
-            sid = replacement
         outcome = editable.insert_into_segment(loc, sid)
         report.utility_loss += outcome.utility_loss
         report.insertions += 1
@@ -276,24 +260,36 @@ def apply_increase_selection(
     return report
 
 
-def nearest_live_segment_of_owner(
-    shared_index: SegmentIndex, loc: LocationKey, editable: "EditableTrajectory"
-) -> int | None:
-    """The owner's nearest *live* segment to ``loc``, or None.
+def select_nearest_owners(
+    shared_index: SegmentIndex,
+    loc: LocationKey,
+    delta: int,
+    eligible: set[str],
+    strategy: str,
+) -> dict[str, int]:
+    """The first ``delta`` distinct eligible owners by segment distance.
 
-    Consumes the incremental frontier lazily and — unlike the old
-    restart-scan — verifies each hit against the editable's own
-    segment table: a stale sid that still matches the owner in the
-    shared index but no longer exists on the trajectory must not be
-    returned (inserting into it would raise).
+    Maps each chosen owner to its nearest segment's sid, in selection
+    order. Scans a ``knn`` hit list (sorted by distance, then sid) and
+    rescans with ``k`` quadrupled until the ``delta``-th owner lies
+    strictly inside the ``k``-th distance or the hits exhaust the
+    index, so exact ties at the window edge never decide the outcome.
     """
-    for sid, _ in iter_nearest(shared_index, loc):
-        if (
-            shared_index.segment(sid).owner == editable.object_id
-            and editable.node_for_segment(sid)
-        ):
-            return sid
-    return None
+    k = max(16, 4 * delta)
+    while True:
+        hits = search_knn(shared_index, loc, k, strategy)
+        chosen: dict[str, int] = {}
+        stop = None
+        for sid, dist in hits:
+            owner = shared_index.segment(sid).owner
+            if owner in eligible and owner not in chosen:
+                chosen[owner] = sid
+                if len(chosen) >= delta:
+                    stop = dist
+                    break
+        if len(hits) < k or (stop is not None and stop < hits[-1][1]):
+            return chosen
+        k *= 4
 
 
 class InterTrajectoryModifier:
@@ -304,32 +300,17 @@ class InterTrajectoryModifier:
 
     * ``"index"`` — scan the shared segment index outward from the
       location and keep the first Δl distinct eligible owners (the
-      paper's published approach);
+      paper's published approach). :meth:`apply` runs it as
+      conflict-free *waves* (see :mod:`repro.core.waves`): each wave's
+      selections are simulated read-only against one index snapshot
+      with one batched kNN pass, then applied in serial order, so the
+      output is byte-identical to :meth:`apply_serial`;
     * ``"bbox"`` — the paper's future-work optimisation: rank
       trajectories by the lower bound MINdist(loc, bbox(τ)) and
       evaluate exact nearest-segment costs in bound order, stopping
       once the next bound exceeds the current Δl-th best cost. Both
-      produce cost-equivalent selections.
-
-    ``candidate_source`` controls how candidates are obtained for the
-    ``"index"`` selection:
-
-    * ``"wave"`` (default) — the planner/executor path: group
-      locations into conflict-free *waves* (see
-      :mod:`repro.core.waves`), simulate each wave's selections
-      read-only against one static index snapshot (sharing the
-      batched per-cell distance kernels), then apply the recorded
-      decisions in serial order. Byte-identical to ``"incremental"``
-      by construction;
-    * ``"incremental"`` — the per-location loop: pull candidates
-      lazily from the index's resumable ``iter_nearest`` frontier,
-      stopping the moment Δl owners are found;
-    * ``"restart"`` — the original restart-scan: run ``knn`` with
-      ``k = 4Δl`` and re-run from scratch with ``k`` quadrupled until
-      enough owners appear. Kept as the baseline the engine benchmark
-      measures against. Restart makes cost-identical selections;
-      exact-distance ties at the ``k`` boundary may resolve to a
-      different (equally cheap) owner.
+      produce cost-equivalent selections. It examines every
+      trajectory, so waving it would degenerate to the serial loop.
     """
 
     def __init__(
@@ -337,23 +318,16 @@ class InterTrajectoryModifier:
         index_factory: IndexFactory | None = None,
         strategy: str = "bottom_up_down",
         trajectory_selection: str = "index",
-        candidate_source: str = "wave",
     ) -> None:
         if trajectory_selection not in ("index", "bbox"):
             raise ValueError(
                 f"unknown trajectory selection {trajectory_selection!r}"
             )
-        if candidate_source not in ("wave", "incremental", "restart"):
-            raise ValueError(
-                f"unknown candidate source {candidate_source!r}"
-            )
         self.index_factory = index_factory or make_index_factory()
         self.strategy = strategy
         self.trajectory_selection = trajectory_selection
-        self.candidate_source = candidate_source
-        #: Diagnostics of the most recent wave-planned run (None for
-        #: the serial candidate sources), akin to an index's
-        #: ``last_stats``.
+        #: Diagnostics of the most recent wave-planned run (None until
+        #: one ran), akin to an index's ``last_stats``.
         self.last_wave_stats = None
 
     def apply(
@@ -364,10 +338,35 @@ class InterTrajectoryModifier:
     ) -> tuple[TrajectoryDataset, ModificationReport]:
         """A new dataset satisfying the perturbed TF distribution.
 
-        ``wave_map`` (wave mode only) maps the planner's read-only
-        per-location simulations over an executor pool — the engine's
-        ``global_workers`` hook; ``None`` simulates in-process.
+        ``wave_map`` (index selection only) maps the planner's
+        read-only per-location simulations over an executor pool — the
+        engine's ``global_workers`` hook; ``None`` simulates in-process.
         """
+        return self._run(
+            dataset,
+            perturbation,
+            waved=self.trajectory_selection == "index",
+            wave_map=wave_map,
+        )
+
+    def apply_serial(
+        self, dataset: TrajectoryDataset, perturbation: TFPerturbation
+    ) -> tuple[TrajectoryDataset, ModificationReport]:
+        """:meth:`apply` through the per-location loop, never waves.
+
+        The reference the wave path is tested against: each location's
+        search runs against the index state every earlier location
+        left behind (Algorithm 3's order).
+        """
+        return self._run(dataset, perturbation, waved=False, wave_map=None)
+
+    def _run(
+        self,
+        dataset: TrajectoryDataset,
+        perturbation: TFPerturbation,
+        waved: bool,
+        wave_map: Callable | None,
+    ) -> tuple[TrajectoryDataset, ModificationReport]:
         report = ModificationReport()
         if len(dataset) == 0:
             return dataset.copy(), report
@@ -376,14 +375,7 @@ class InterTrajectoryModifier:
             trajectory.object_id: EditableTrajectory(trajectory, shared_index)
             for trajectory in dataset
         }
-
-        # ``candidate_source`` governs the "index" selection only; the
-        # bbox selection examines every trajectory, so waving it would
-        # degenerate to the serial loop — it keeps the reference path.
-        if (
-            self.candidate_source == "wave"
-            and self.trajectory_selection == "index"
-        ):
+        if waved:
             self._apply_waves(
                 shared_index, editables, perturbation, report, wave_map
             )
@@ -445,7 +437,7 @@ class InterTrajectoryModifier:
         planner = WavePlanner(
             shared_index, editables, strategy=self.strategy, wave_map=wave_map
         )
-        executor = WaveExecutor(shared_index, editables)
+        executor = WaveExecutor(editables)
         for kind, pending in perturbation.schedule():
             while pending:
                 wave, pending = planner.plan_wave(kind, pending)
@@ -466,77 +458,19 @@ class InterTrajectoryModifier:
         distance yields trajectories in ascending insertion loss; we
         keep the first ``delta`` distinct eligible owners.
         """
-        report = ModificationReport()
         eligible = {
             object_id
             for object_id, editable in editables.items()
             if not editable.contains(loc)
         }
         if not eligible:
-            report.unrealised += delta
-            return report
-
-        if self.candidate_source == "restart":
-            chosen = self._select_restart_scan(shared_index, eligible, loc, delta)
-        else:
-            chosen = self._select_incremental(shared_index, eligible, loc, delta)
-
-        report.merge(
-            apply_increase_selection(
-                shared_index, editables, loc, delta, list(chosen.items())
-            )
+            return ModificationReport(unrealised=delta)
+        chosen = select_nearest_owners(
+            shared_index, loc, delta, eligible, self.strategy
         )
-        return report
-
-    def _select_incremental(
-        self,
-        shared_index: SegmentIndex,
-        eligible: set[str],
-        loc: LocationKey,
-        delta: int,
-    ) -> dict[str, int]:
-        """First ``delta`` distinct eligible owners, pulled lazily.
-
-        Consumes the index's resumable nearest-segment frontier and
-        stops as soon as enough owners are found — the search never
-        scans farther than the Δl-th selected trajectory's nearest
-        segment (Algorithm 3's pruning carried across candidates).
-        """
-        chosen: dict[str, int] = {}  # object id -> best segment sid
-        for sid, _ in iter_nearest(shared_index, loc):
-            owner = shared_index.segment(sid).owner
-            if owner in eligible and owner not in chosen:
-                chosen[owner] = sid
-                if len(chosen) >= delta:
-                    break
-        return chosen
-
-    def _select_restart_scan(
-        self,
-        shared_index: SegmentIndex,
-        eligible: set[str],
-        loc: LocationKey,
-        delta: int,
-    ) -> dict[str, int]:
-        """The original restart-scan selection (benchmark baseline).
-
-        Re-runs the full kNN search with ``k`` quadrupled until
-        ``delta`` distinct eligible owners appear among the hits.
-        """
-        chosen: dict[str, int] = {}
-        k = max(4 * delta, 16)
-        while True:
-            hits = search_knn(shared_index, loc, k, self.strategy)
-            for sid, _ in hits:
-                owner = shared_index.segment(sid).owner
-                if owner in eligible and owner not in chosen:
-                    chosen[owner] = sid
-                    if len(chosen) >= delta:
-                        break
-            if len(chosen) >= delta or k >= len(shared_index):
-                break
-            k = min(k * 4, max(len(shared_index), 1))
-        return chosen
+        return apply_increase_selection(
+            editables, loc, delta, list(chosen.items())
+        )
 
     def _insert_with_bbox_pruning(
         self,
@@ -580,9 +514,3 @@ class InterTrajectoryModifier:
             report.insertions += 1
         report.unrealised += delta - len(best)
         return report
-
-    def _nearest_segment_of_owner(
-        self, shared_index: SegmentIndex, loc: LocationKey, editable: EditableTrajectory
-    ) -> int | None:
-        """See :func:`nearest_live_segment_of_owner`."""
-        return nearest_live_segment_of_owner(shared_index, loc, editable)

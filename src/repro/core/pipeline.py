@@ -18,7 +18,6 @@ import math
 import os
 import random
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -164,13 +163,6 @@ class FrequencyAnonymizer:
     index_backend, search_strategy, levels, granularity:
         Spatial-index configuration for the modification step (see
         :func:`repro.core.modification.make_index_factory`).
-    candidate_source:
-        How the global stage finds candidate trajectories:
-        ``"wave"`` (default — the planner/executor path, byte-identical
-        to the serial loop), ``"incremental"`` (the per-location lazy
-        frontier), or ``"restart"`` (the restart-scan benchmark
-        baseline). See :class:`~repro.core.modification
-        .InterTrajectoryModifier`.
     global_first:
         GL composition order. The paper notes the ordering is
         exchangeable; the default applies global then local.
@@ -191,7 +183,6 @@ class FrequencyAnonymizer:
         index_backend: str = "hierarchical",
         search_strategy: str = "bottom_up_down",
         trajectory_selection: str = "index",
-        candidate_source: str = "wave",
         levels: int = 10,
         granularity: int = 512,
         global_first: bool = True,
@@ -222,7 +213,6 @@ class FrequencyAnonymizer:
         self.index_backend = index_backend
         self.search_strategy = search_strategy
         self.trajectory_selection = trajectory_selection
-        self.candidate_source = candidate_source
         self.levels = levels
         self.granularity = granularity
         self.global_first = global_first
@@ -236,7 +226,6 @@ class FrequencyAnonymizer:
             factory,
             strategy=search_strategy,
             trajectory_selection=trajectory_selection,
-            candidate_source=candidate_source,
         )
         # Disabled means None (the constructor rejects explicit zeros
         # above), so the stage toggles key off the original arguments,
@@ -249,8 +238,6 @@ class FrequencyAnonymizer:
             if epsilon_local is None
             else LocalPFMechanism(self.epsilon_local, m=signature_size)
         )
-        #: Backing store of the deprecated :attr:`last_report` alias.
-        self._last_report: AnonymizationReport | None = None
         #: How many anonymize() calls this instance has served; mixes
         #: into each call's base seed so successive datasets get fresh
         #: noise while the run as a whole stays reproducible. Reserved
@@ -273,7 +260,6 @@ class FrequencyAnonymizer:
             "index_backend": self.index_backend,
             "search_strategy": self.search_strategy,
             "trajectory_selection": self.trajectory_selection,
-            "candidate_source": self.candidate_source,
             "levels": self.levels,
             "granularity": self.granularity,
             "global_first": self.global_first,
@@ -298,34 +284,6 @@ class FrequencyAnonymizer:
         from repro.api.spec import MethodSpec
 
         return MethodSpec("frequency", self.config())
-
-    @property
-    def last_report(self) -> AnonymizationReport | None:
-        """Deprecated: the report of the most recent :meth:`anonymize`.
-
-        Mutable shared state — concurrent runs clobber it. Use
-        :meth:`anonymize_with_report` (or :func:`repro.api.run`), which
-        return the report with the result.
-        """
-        warnings.warn(
-            "FrequencyAnonymizer.last_report is deprecated; use "
-            "anonymize_with_report() or repro.api.run(), which return "
-            "the report with the result",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_report
-
-    @last_report.setter
-    def last_report(self, report: AnonymizationReport | None) -> None:
-        warnings.warn(
-            "FrequencyAnonymizer.last_report is deprecated; reports "
-            "travel with the return value of anonymize_with_report() "
-            "and repro.api.run()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._last_report = report
 
     def reserve_call_index(self) -> int:
         """Atomically claim the next per-call noise-stream index."""
@@ -353,12 +311,10 @@ class FrequencyAnonymizer:
     def anonymize(self, dataset: TrajectoryDataset) -> TrajectoryDataset:
         """Produce the ε-differentially-private dataset D*.
 
-        Thin wrapper over :meth:`anonymize_with_report` that also
-        stores the report in the deprecated :attr:`last_report` alias.
+        Thin wrapper over :meth:`anonymize_with_report` that drops the
+        report.
         """
-        result, report = self.anonymize_with_report(dataset)
-        self._last_report = report
-        return result
+        return self.anonymize_with_report(dataset)[0]
 
     def anonymize_with_report(
         self,
@@ -393,7 +349,7 @@ class FrequencyAnonymizer:
         next one (worker processes replaying a specific call);
         ``wave_map`` fans the global stage's read-only wave-planning
         simulations over a pool (the batch engine's ``global_workers``
-        hook; only meaningful with ``candidate_source="wave"``).
+        hook; only meaningful with ``trajectory_selection="index"``).
 
         ``tf_target`` injects an externally-drawn TF perturbation: the
         global stage then *realises* the given target on this dataset

@@ -1,6 +1,6 @@
 """Wave-parallel planning/execution of the global modification stage.
 
-The serial reference (``InterTrajectoryModifier._apply_serial``)
+The serial reference (``InterTrajectoryModifier.apply_serial``)
 processes TF locations strictly one at a time: each location's
 K-nearest-trajectory search runs against the index state left behind by
 every earlier location's edits. That interleaving is what makes the
@@ -36,7 +36,7 @@ planned edits provably cannot influence ``m``'s simulated outcome:
    location is one of those flanking locations. The planner records the
    flanking locations each decrease *exposes*; a candidate conflicts
    when its own location is exposed by the wave so far.
-2. **TF increases** consume the frontier's ascending-distance prefix
+2. **TF increases** consume the ascending-distance segment prefix
    until the Δl-th distinct eligible owner appears. The prefix — and
    hence the selection — changes only if a wave-mate (a) **removes a
    segment the prefix contained** (an insertion splits its target
@@ -51,13 +51,13 @@ is exactly the decision the serial loop would have made, so the output
 dataset — point sequences, report tallies, even the index's internal
 sid allocation — is byte-identical to the serial reference. Ties at the
 stopping radius are safe: newly created segments always carry larger
-sids than every segment the simulation saw, and all frontier
-implementations order equal distances by ascending sid.
+sids than every segment the simulation saw, and every ``knn`` orders
+equal distances by ascending sid.
 
 The simulations inside one planning round run against one static
 snapshot, so one batched vectorised kNN pass (``knn_batch`` — per-cell
 ``SegmentArray`` batches built once per chunk) answers almost every
-selection, with the exact lazy frontier as the fallback for
+selection, with a growing-``k`` ``knn`` rescan as the fallback for
 tie-boundary cases; being read-only, the simulations can also fan out
 over a thread pool (the engine's ``global_workers`` knob) without any
 locking.
@@ -104,13 +104,13 @@ class PlannedOp:
     #: order. TF decreases: ``(owner, -1)`` per chosen trajectory, in
     #: deletion order.
     choices: tuple[tuple[str, int], ...]
-    #: Increases: every sid the frontier yielded before stopping — the
+    #: Increases: every sid the scan consumed before stopping — the
     #: evidence prefix the selection rests on. Empty for decreases.
     scanned_sids: frozenset[int]
     #: Increases: stopping radius of the scan — the distance of the
-    #: last frontier segment consumed. ``-inf`` when nothing was
-    #: scanned (no eligible owner, or a decrease), ``+inf`` when the
-    #: frontier was exhausted before Δl owners appeared.
+    #: last segment consumed. ``-inf`` when nothing was scanned (no
+    #: eligible owner, or a decrease), ``+inf`` when the index was
+    #: exhausted before Δl owners appeared.
     radius: float
     #: Increases: exact segments the insertions will create, as
     #: ``(a, b)`` coordinate pairs.
@@ -139,7 +139,7 @@ class WaveStats:
     #: Cached speculative simulations invalidated by executed waves.
     discarded: int = 0
     #: Batched-kNN simulations that hit a tie/window boundary and
-    #: re-ran through the exact incremental frontier.
+    #: re-ran through a wider ``knn`` rescan.
     fallbacks: int = 0
 
     @property
@@ -370,7 +370,7 @@ class WavePlanner:
             # snapshot, so per-cell segment batches are built once and
             # the per-query scans reduce to walking a sorted hit list.
             # Queries whose answer cannot be proven prefix-exact from
-            # the k hits fall back to the exact frontier inside
+            # the k hits rescan with a larger k inside
             # :meth:`_simulate_increase`.
             k = max(16, 4 * max(delta for _, delta in chunk))
             hit_lists = search_knn_batch(
@@ -431,17 +431,16 @@ class WavePlanner:
         )
 
     def _simulate_increase(self, job) -> PlannedOp:
-        """Select from a batched kNN hit list, frontier on ambiguity.
+        """Select from a batched kNN hit list, rescan on ambiguity.
 
         A ``knn`` result sorted by ``(distance, sid)`` contains *every*
-        segment strictly closer than its k-th distance, in exactly the
-        order the incremental frontier yields them — so as long as the
-        Δl-th owner is found strictly inside that boundary (or the
-        hit list already exhausts the index), the selection, the
-        scanned-prefix evidence, and the stopping radius are provably
-        identical to the serial reference. Only the rare boundary
-        cases (stop at the k-th distance, or more than k hits needed)
-        re-run through the exact frontier.
+        segment strictly closer than its k-th distance, in a fixed
+        order — so as long as the Δl-th owner is found strictly inside
+        that boundary (or the hit list already exhausts the index), the
+        selection, the scanned-prefix evidence, and the stopping radius
+        are provably identical to the serial reference. Only the rare
+        boundary cases (stop at the k-th distance, or more than k hits
+        needed) rescan with ``k`` quadrupled.
         """
         (loc, delta), hits, requested_k = job
         # Owners already passing through the location are ineligible;
@@ -534,12 +533,7 @@ class WavePlanner:
 class WaveExecutor:
     """Applies planned waves in serial order (cheap edits, no searches)."""
 
-    def __init__(
-        self,
-        shared_index: "SegmentIndex",
-        editables: dict[str, "EditableTrajectory"],
-    ) -> None:
-        self.shared_index = shared_index
+    def __init__(self, editables: dict[str, "EditableTrajectory"]) -> None:
         self.editables = editables
 
     def apply_wave(
@@ -571,7 +565,6 @@ class WaveExecutor:
             elif plan.radius != -math.inf:
                 report.merge(
                     apply_increase_selection(
-                        self.shared_index,
                         self.editables,
                         plan.loc,
                         plan.delta,

@@ -23,10 +23,10 @@ Two pieces built for the "as fast as the hardware allows" roadmap:
   DP composition ledger (:mod:`repro.core.accounting`) recording the
   end-to-end ε.
 
-The other engine half — the incremental ``iter_nearest`` kNN frontier
-that removes the global stage's restart-scans — lives on the index
-backends themselves (see ``repro.index``) and is used by
-``InterTrajectoryModifier`` by default.
+The global stage's own acceleration — wave planning, which answers a
+whole wave's K-nearest-trajectory searches with one batched ``knn``
+pass — lives in :mod:`repro.core.waves`; ``BatchAnonymizer`` only
+supplies its ``global_workers`` thread pool.
 """
 
 from repro.engine.batch import BatchAnonymizer

@@ -1,12 +1,12 @@
 """Batch anonymization: shard the embarrassingly-parallel local stage.
 
 The paper's pipeline has two very different halves. The global stage
-edits every trajectory against one shared dataset-wide index — it is
-inherently sequential (and is what the incremental ``iter_nearest``
-frontier accelerates). The local stage perturbs and modifies each
-trajectory independently — it is embarrassingly parallel, and at the
-paper's |D| = 1000 scale dominated by per-trajectory index builds and
-kNN searches that share nothing.
+edits every trajectory against one shared dataset-wide index — its
+edits apply in serial order, and only its read-only wave-planning
+simulations fan out (``global_workers``). The local stage perturbs
+and modifies each trajectory independently — it is embarrassingly
+parallel, and at the paper's |D| = 1000 scale dominated by
+per-trajectory index builds and kNN searches that share nothing.
 
 :class:`BatchAnonymizer` wraps any :class:`FrequencyAnonymizer` and
 fans that local stage over a worker pool. Determinism is preserved by
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -128,8 +127,8 @@ class BatchAnonymizer:
         so they fan over a *thread* pool regardless of ``executor``
         (processes cannot share the live index); output stays
         byte-identical for any value. Only effective when the wrapped
-        pipeline uses ``candidate_source="wave"`` (the default). The
-        pool is created lazily on first use and **reused** across
+        pipeline uses ``trajectory_selection="index"`` (the default).
+        The pool is created lazily on first use and **reused** across
         calls and stream chunks; release it deterministically with
         :meth:`close` or by using the engine as a context manager.
         Closing is terminal: a closed engine raises ``RuntimeError``
@@ -222,33 +221,14 @@ class BatchAnonymizer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @property
-    def last_report(self) -> AnonymizationReport | None:
-        """Deprecated: the wrapped anonymizer's most recent report.
-
-        Mutable shared state — concurrent runs clobber it. Use
-        :meth:`anonymize_with_report` (or :func:`repro.api.run`), which
-        return the report with the result.
-        """
-        warnings.warn(
-            "BatchAnonymizer.last_report is deprecated; use "
-            "anonymize_with_report() or repro.api.run(), which return "
-            "the report with the result",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.anonymizer._last_report
-
     def anonymize(self, dataset: TrajectoryDataset) -> TrajectoryDataset:
         """ε-DP anonymization, local stage fanned across the pool.
 
         Byte-identical to ``self.anonymizer.anonymize(dataset)`` for
-        the same seed and call index. Also refreshes the deprecated
-        ``last_report`` alias; prefer :meth:`anonymize_with_report`.
+        the same seed and call index; :meth:`anonymize_with_report`
+        also returns the report.
         """
-        result, report = self.anonymize_with_report(dataset)
-        self.anonymizer._last_report = report
-        return result
+        return self.anonymize_with_report(dataset)[0]
 
     def anonymize_with_report(
         self, dataset: TrajectoryDataset, **hooks
@@ -307,11 +287,9 @@ class BatchAnonymizer:
     ) -> Iterator[tuple[TrajectoryDataset, AnonymizationReport]]:
         if self.workers <= 1 or self.executor == "serial":
             for dataset in datasets:
-                result, report = self.anonymize_with_report(
+                yield self.anonymize_with_report(
                     dataset, call_index=self.anonymizer.reserve_call_index()
                 )
-                self.anonymizer._last_report = report
-                yield result, report
             return
 
         spec = self.anonymizer.spec()
@@ -320,18 +298,12 @@ class BatchAnonymizer:
             for dataset in datasets:
                 yield (spec, self.anonymizer.reserve_call_index(), dataset)
 
-        for result, report in parallel_map_stream(
+        yield from parallel_map_stream(
             _anonymize_one,
             payloads(),
             workers=self.workers,
             executor=self.executor,
-        ):
-            # Keep the deprecated last_report alias fresh: the sweep
-            # ran on throwaway worker-side instances, so reflect each
-            # report onto the wrapped anonymizer. The authoritative
-            # channel is the yielded (result, report) pair.
-            self.anonymizer._last_report = report
-            yield result, report
+        )
 
     def publish(
         self,

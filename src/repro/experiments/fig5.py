@@ -12,15 +12,6 @@ Right panel — wall-clock share of local (intra-) vs global (inter-)
 trajectory modification, timed on the real pipeline with the HG+
 strategy (the paper reports global at 90 %+ of total time).
 
-Global-stage panel — the engine's three candidate sources for the
-inter-trajectory modification (``restart`` — the seed restart-scan,
-``incremental`` — PR 1's lazy frontier, ``wave`` — the wave-planned
-planner/executor path), crossed with the three hierarchical search
-strategies, all timed on real PureG runs. Wave and incremental are
-byte-identical to each other; restart makes cost-identical selections
-(exact-distance ties at its k boundary may pick a different equally
-cheap owner), so the comparison isolates pure search/scheduling cost.
-
 Invoke with::
 
     python -m repro.experiments.fig5 [smoke|default|large] [workers]
@@ -61,17 +52,6 @@ SEARCH_METHODS = ("Linear", "UG", "HGt", "HGb", "HG+", "RT")
 
 DEFAULT_SIZES = (25, 50, 100, 200)
 SMOKE_SIZES = (10, 20)
-
-#: Candidate sources of the global stage, benchmark baseline first.
-CANDIDATE_SOURCES = ("restart", "incremental", "wave")
-
-#: Hierarchical strategies crossed with the candidate sources in the
-#: global-stage panel, keyed by the paper's labels.
-HIERARCHICAL_STRATEGIES = (
-    ("HGt", "top_down"),
-    ("HGb", "bottom_up"),
-    ("HG+", "bottom_up_down"),
-)
 
 
 def _dataset_for_size(config: ExperimentConfig, size: int):
@@ -208,42 +188,6 @@ def modification_timings(
     return timings
 
 
-def global_stage_timings(
-    config: ExperimentConfig, sizes: tuple[int, ...]
-) -> dict[str, list[float]]:
-    """Global-stage panel: candidate source x search strategy.
-
-    Rows are ``"<source>/<strategy>"`` (e.g. ``"wave/HG+"``); each cell
-    is the wall-clock of a full PureG run. For the same seed, wave and
-    incremental rows are byte-identical and restart rows cost-identical
-    (ties at its k boundary may resolve to a different equally cheap
-    owner), keeping the comparison honest across every strategy at
-    once.
-    """
-    half = config.model_params(config.epsilon / 2)
-    timings: dict[str, list[float]] = {
-        f"{source}/{label}": []
-        for source in CANDIDATE_SOURCES
-        for label, _ in HIERARCHICAL_STRATEGIES
-    }
-    for size in sizes:
-        dataset = _dataset_for_size(config, size)
-        for source in CANDIDATE_SOURCES:
-            for label, strategy in HIERARCHICAL_STRATEGIES:
-                spec = MethodSpec(
-                    "pureg",
-                    {
-                        **half,
-                        "search_strategy": strategy,
-                        "candidate_source": source,
-                    },
-                )
-                timings[f"{source}/{label}"].append(
-                    run_spec(spec, dataset).seconds
-                )
-    return timings
-
-
 def run(
     config: ExperimentConfig | None = None,
     sizes: tuple[int, ...] = DEFAULT_SIZES,
@@ -256,7 +200,6 @@ def run(
         "search": search,
         "search_work": work,
         "modification": modification_timings(config, sizes, workers=workers),
-        "global": global_stage_timings(config, sizes),
     }
 
 
@@ -295,27 +238,6 @@ def format_timings(
     lines.append(
         f"{'G-share':<8s}" + "".join(f"{v:10.2%}" for v in share)
     )
-    if "global" in results:
-        lines.append("")
-        lines.append(
-            "[global stage (s): candidate source x strategy vs dataset size]"
-        )
-        lines.append(
-            f"{'source':<16s}" + "".join(f"{s:>10d}" for s in sizes)
-        )
-        for name, values in results["global"].items():
-            lines.append(f"{name:<16s}" + "".join(f"{v:10.4f}" for v in values))
-        reference = results["global"].get("incremental/HG+")
-        waved = results["global"].get("wave/HG+")
-        if reference and waved:
-            speedups = [
-                r / w if w > 0 else float("inf")
-                for r, w in zip(reference, waved, strict=True)
-            ]
-            lines.append(
-                f"{'wave speedup':<16s}"
-                + "".join(f"{v:9.2f}x" for v in speedups)
-            )
     return "\n".join(lines)
 
 

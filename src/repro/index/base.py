@@ -43,21 +43,11 @@ class SegmentIndex(Protocol):
         ...
 
     def knn(self, q: Coord, k: int) -> list[tuple[int, float]]:
-        """The ``k`` nearest segments to ``q`` as (sid, distance) pairs."""
-        ...
+        """The ``k`` nearest segments to ``q`` as (sid, distance) pairs.
 
-    def iter_nearest(self, q: Coord) -> Iterator[tuple[int, float]]:
-        """Lazily yield every segment in ascending distance from ``q``.
-
-        The incremental counterpart of :meth:`knn`: consumers that do
-        not know ``k`` up front (e.g. "first Δl distinct eligible
-        owners") pull candidates one at a time instead of restarting
-        the search with a growing ``k``. Ties are yielded in ascending
-        sid order, matching :meth:`knn` output. The iterator snapshots
-        or walks live structures — mutating the index invalidates it.
-
-        Implementors without a native incremental search can delegate
-        to :func:`repro.index.search.iter_nearest_via_knn`.
+        Sorted by ascending distance, ties by ascending sid. Every
+        segment strictly closer than the ``k``-th distance is present,
+        so a prefix that stops short of that distance is exact.
         """
         ...
 
@@ -71,24 +61,6 @@ class SegmentIndex(Protocol):
 
         Implementors can delegate to
         :func:`repro.index.search.knn_batch_via_knn`.
-        """
-        ...
-
-    def iter_nearest_batch(
-        self, qs: Sequence[Coord]
-    ) -> list[Iterator[tuple[int, float]]]:
-        """:meth:`iter_nearest` for a batch of queries.
-
-        Returns one lazy iterator per query; all of them walk the same
-        index snapshot, so per-cell segment batches computed for one
-        query are reused by the others — the right surface for
-        consumers that need unbounded per-query frontiers over one
-        snapshot (the wave planner itself answers its simulations with
-        :meth:`knn_batch` plus a growing-``k`` rescan). Mutating the
-        index invalidates every returned iterator.
-
-        Implementors can delegate to
-        :func:`repro.index.search.iter_nearest_batch_via_single`.
         """
         ...
 

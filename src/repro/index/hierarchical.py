@@ -63,8 +63,8 @@ class _Cell:
     children: set[CellKey] = field(default_factory=set)
     #: Lazily-built vectorised view ``(sorted sids, SegmentArray)`` of
     #: ``segments``; invalidated whenever the segment set changes. Lets
-    #: the incremental frontier batch a whole cell's exact distances in
-    #: one numpy pass instead of one Python call per segment.
+    #: kNN search batch a whole cell's exact distances in one numpy
+    #: pass instead of one Python call per segment.
     array: tuple[list[int], SegmentArray] | None = None
 
     @property
@@ -441,108 +441,6 @@ class HierarchicalGridIndex:
                 pairs.append((segment.a, segment.b))
             cell.array = (sids, SegmentArray.from_pairs(pairs))
         return cell.array
-
-    def iter_nearest(self, q: Coord):
-        """Resumable best-first frontier over the cell hierarchy; see
-        :meth:`_iter_nearest` for the algorithm."""
-        stats = SearchStats()
-        self.last_stats = stats
-        yield from self._iter_nearest(q, stats)
-
-    def iter_nearest_batch(self, qs) -> list:
-        """:meth:`iter_nearest` for a batch of queries, one lazy
-        iterator per query.
-
-        All iterators walk the same index snapshot and share the
-        per-cell cached ``SegmentArray`` batches — on a static index
-        (the wave planner's read-only simulation rounds) each cell's
-        Python-side view is built at most once for the whole batch,
-        no matter how many query frontiers expand it.
-        :attr:`last_stats` is reset once, up front, and accumulates
-        the combined work of every iterator as it is consumed.
-        """
-        stats = SearchStats()
-        self.last_stats = stats
-        return [self._iter_nearest(q, stats) for q in qs]
-
-    def _iter_nearest(self, q: Coord, stats: SearchStats):
-        """Resumable best-first frontier over the cell hierarchy.
-
-        One priority queue holds unexplored cells (keyed by MINdist,
-        which lower-bounds every descendant segment) and per-cell
-        *cursors* into distance-sorted segment batches (keyed by the
-        cursor head's exact distance). Expanding a cell computes every
-        contained segment's distance in one vectorised pass; only the
-        cheapest then enters the heap, and popping it re-arms the
-        cursor with the cell's next segment. Pop order therefore yields
-        segments in globally nondecreasing distance, and the frontier
-        pauses wherever the consumer stops — no θ_K, no restarts.
-
-        Cells sort ahead of equidistant segments so a tied segment
-        inside an unexpanded cell cannot be skipped; segment ties
-        resolve by ascending sid exactly like :meth:`knn` (within a
-        cell the batch is (distance, sid)-sorted, and every cell's head
-        is always on the heap). Work is recorded in ``stats`` (the
-        caller's :attr:`last_stats`) like any other search.
-        """
-        if not self._cells and not self._overflow:
-            return
-        # Entries: (distance, kind, key, ...) with kind 0 = cell —
-        # (dist, 0, cell key) — and kind 1 = segment cursor —
-        # (dist, 1, sid, sids, order, raw distances, position), where
-        # sids is the cell's sorted sid list and order/raw stay numpy:
-        # only the cursor head is ever converted to Python scalars, so
-        # a cell whose tail the consumer never reaches costs nothing
-        # beyond its one vectorised distance pass. Comparison never
-        # reaches the unorderable payload: kind separates the shapes
-        # and sids are unique.
-        heap: list[tuple] = []
-        if self._cells:
-            heap.append((self.min_distance(q, ROOT), 0, ROOT))
-        if self._overflow:
-            # Out-of-bbox segments have no valid cell bound: enter the
-            # frontier as one pre-sorted exact-distance cursor.
-            sids = sorted(self._overflow)
-            stats.segments_checked += len(sids)
-            raw = np.array(
-                [self._registry.get(sid).distance_to(q) for sid in sids]
-            )
-            order = np.argsort(raw, kind="stable")
-            head = int(order[0])
-            heap.append((float(raw[head]), 1, sids[head], sids, order, raw, 0))
-        heapq.heapify(heap)
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[1]:
-                dist, _, sid, sids, order, raw, position = entry
-                yield sid, dist
-                position += 1
-                if position < len(order):
-                    head = int(order[position])
-                    heapq.heappush(
-                        heap,
-                        (float(raw[head]), 1, sids[head], sids, order, raw,
-                         position),
-                    )
-                continue
-            cell = self._cells.get(entry[2])
-            if cell is None:
-                continue
-            stats.cells_visited += 1
-            if cell.segments:
-                sids, array = self._cell_view(cell)
-                stats.segments_checked += len(sids)
-                raw = array.distances_to(q)
-                # Stable sort on distance keeps ascending-sid ties
-                # (sids is sorted), giving the (distance, sid) order
-                # knn's candidate heap produces.
-                order = np.argsort(raw, kind="stable")
-                head = int(order[0])
-                heapq.heappush(
-                    heap, (float(raw[head]), 1, sids[head], sids, order, raw, 0)
-                )
-            for child in cell.children:
-                heapq.heappush(heap, (self.min_distance(q, child), 0, child))
 
     def _check_cell(
         self, q: Coord, key: CellKey, candidates: KnnCandidates,

@@ -2,22 +2,14 @@
 
 Implements the same protocol as the grid indexes but answers kNN by a
 full scan, so the modification machinery can run against it unchanged
-for the efficiency comparison (Figure 5). Incremental iteration uses a
-vectorised :class:`~repro.geo.vectorized.SegmentArray` distance pass
-instead of a Python-level scan.
+for the efficiency comparison (Figure 5).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.geo.geometry import Coord
 from repro.index.base import IndexedSegment, SegmentRegistry
-from repro.index.search import (
-    iter_nearest_batch_via_single,
-    knn_batch_via_knn,
-    linear_knn,
-)
+from repro.index.search import knn_batch_via_knn, linear_knn
 
 
 class LinearSegmentIndex:
@@ -38,29 +30,9 @@ class LinearSegmentIndex:
     def knn(self, q: Coord, k: int) -> list[tuple[int, float]]:
         return linear_knn(self._registry, q, k)
 
-    def iter_nearest(self, q: Coord) -> Iterator[tuple[int, float]]:
-        """All segments in ascending distance order, lazily.
-
-        Snapshots the registry on first pull, then runs one vectorised
-        distance computation over the whole batch — a single numpy pass
-        beats repeated Python-level partial scans as soon as the index
-        holds more than a handful of segments.
-        """
-        from repro.geo.vectorized import SegmentArray
-
-        segments = list(self._registry)
-        if not segments:
-            return
-        array = SegmentArray.from_pairs([(s.a, s.b) for s in segments])
-        for row, dist in array.nearest_order(q):
-            yield segments[row].sid, dist
-
     def knn_batch(self, qs, k: int) -> list[list[tuple[int, float]]]:
         """Per-query full scans (the honest linear-baseline batch)."""
         return knn_batch_via_knn(self, qs, k)
-
-    def iter_nearest_batch(self, qs) -> list[Iterator[tuple[int, float]]]:
-        return iter_nearest_batch_via_single(self, qs)
 
     def __len__(self) -> int:
         return len(self._registry)

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.geo.geometry import BBox, Coord
 from repro.index.base import IndexedSegment, SegmentRegistry
-from repro.index.search import (
-    KnnCandidates,
-    iter_nearest_batch_via_single,
-    knn_batch_via_knn,
-)
+from repro.index.search import KnnCandidates, knn_batch_via_knn
 
 
 @dataclass(slots=True)
@@ -193,53 +189,6 @@ class RTreeIndex:
                             heapq.heappush(heap, (child_dist, counter, child))
         return candidates.results()
 
-    def iter_nearest(self, q: Coord):
-        """Best-first incremental traversal over node MBRs.
-
-        Nodes enter the frontier keyed by MBR min-distance (a lower
-        bound on their contents), live segments by exact distance, so
-        pop order yields segments in nondecreasing distance. Nodes sort
-        ahead of equidistant segments; segment ties resolve by
-        ascending sid. The overflow buffer is measured up front (it is
-        small by construction).
-        """
-        if len(self._registry) == 0:
-            return
-        # Entries: (distance, kind, tie, node-or-None); kind 0 = node
-        # keyed by an insertion counter, kind 1 = segment keyed by sid.
-        heap: list[tuple[float, int, int, _Node | None]] = []
-        for sid in self._buffer:
-            heap.append((self._registry.get(sid).distance_to(q), 1, sid, None))
-        heapq.heapify(heap)
-        counter = 0
-        if self._root is not None:
-            heapq.heappush(
-                heap, (self._root.mbr.min_distance(q), 0, counter, self._root)
-            )
-        while heap:
-            dist, kind, tie, node = heapq.heappop(heap)
-            if kind:
-                yield tie, dist
-                continue
-            assert node is not None
-            if node.is_leaf:
-                for sid in node.sids:
-                    if sid in self._tombstones:
-                        continue
-                    heapq.heappush(
-                        heap,
-                        (self._registry.get(sid).distance_to(q), 1, sid, None),
-                    )
-            else:
-                for child in node.children:
-                    counter += 1
-                    heapq.heappush(
-                        heap, (child.mbr.min_distance(q), 0, counter, child)
-                    )
-
     def knn_batch(self, qs, k: int) -> list[list[tuple[int, float]]]:
         """Per-query best-first traversals (``search.py`` fallback)."""
         return knn_batch_via_knn(self, qs, k)
-
-    def iter_nearest_batch(self, qs):
-        return iter_nearest_batch_via_single(self, qs)

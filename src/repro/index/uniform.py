@@ -8,9 +8,7 @@ candidate.
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Iterator
 
 from repro.geo.geometry import BBox, Coord
 from repro.geo.vectorized import SegmentArray
@@ -203,52 +201,6 @@ class UniformGridIndex:
         across calls, until the bucket changes).
         """
         return [self.knn(q, k) for q in qs]
-
-    def iter_nearest(self, q: Coord) -> Iterator[tuple[int, float]]:
-        """Incremental nearest-segment iteration by ring expansion.
-
-        Rings are scanned outward exactly as in :meth:`knn`; scanned
-        candidates wait in a min-heap and are only released once their
-        distance is provably smaller than anything an unscanned ring
-        can contain (after ring ``r``, unscanned segments sit in rings
-        ``>= r + 1`` whose cells are at least ``r`` cell-widths away,
-        minus the midpoint-mode slack).
-        """
-        if len(self._registry) == 0:
-            return
-        slack = self._max_half_extent if self.assignment == "midpoint" else 0.0
-        qx, qy = self.cell_of(q)
-        min_cell = min(self._cell_w, self._cell_h)
-        seen: set[int] = set()
-        heap: list[tuple[float, int]] = []
-        # Out-of-bbox segments join the heap with exact distances up
-        # front; the ring release bound stays valid for them.
-        for sid in self._overflow:
-            seen.add(sid)
-            heapq.heappush(heap, (self._registry.get(sid).distance_to(q), sid))
-        for ring in range(self.granularity + 1):
-            for cx, cy in self._ring_cells(qx, qy, ring):
-                bucket = self._cells.get((cx, cy))
-                if not bucket:
-                    continue
-                sids, array = self._cell_view((cx, cy))
-                distances = array.distances_to(q)
-                for position, sid in enumerate(sids):
-                    if sid in seen:
-                        continue
-                    seen.add(sid)
-                    heapq.heappush(heap, (float(distances[position]), sid))
-            safe = ring * min_cell - slack
-            while heap and heap[0][0] <= safe:
-                dist, sid = heapq.heappop(heap)
-                yield sid, dist
-        while heap:
-            dist, sid = heapq.heappop(heap)
-            yield sid, dist
-
-    def iter_nearest_batch(self, qs) -> list[Iterator[tuple[int, float]]]:
-        """:meth:`iter_nearest` per query, sharing cached bucket views."""
-        return [self.iter_nearest(q) for q in qs]
 
     def _ring_cells(self, qx: int, qy: int, ring: int):
         if ring == 0:

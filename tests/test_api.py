@@ -40,7 +40,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.methods import (
     SYNTHETIC_METHODS,
     TABLE2_ORDER,
-    build_methods,
     our_model_specs,
     table2_specs,
 )
@@ -200,6 +199,10 @@ class TestRegistry:
     def test_build_rejects_unknown_params(self):
         with pytest.raises(ValueError, match="accepted"):
             build(MethodSpec("adatrace", {"bogus_knob": 1}))
+        # The retired global-stage candidate_source option is gone.
+        for kind in ("frequency", "gl", "pureg", "purel"):
+            with pytest.raises(ValueError, match="accepted"):
+                build(MethodSpec(kind, {"candidate_source": "wave"}))
 
     def test_families_declared(self):
         for kind in method_names():
@@ -292,10 +295,6 @@ class TestTable2Completeness:
                 collapsed.append(name)
         assert collapsed == [label for label, _ in TABLE2_ORDER]
 
-    def test_build_methods_is_thin_view(self):
-        config = ExperimentConfig.smoke()
-        assert list(build_methods(config)) == list(table2_specs(config))
-
     def test_synthetic_flags_come_from_registry(self):
         assert SYNTHETIC_METHODS == frozenset({"DPT", "AdaTrace"})
         for label, kind in TABLE2_ORDER:
@@ -369,7 +368,7 @@ class TestRun:
 
 
 class TestConcurrencySafety:
-    """The last_report race: results must travel with the return value."""
+    """Results must travel with the return value, never shared state."""
 
     def test_concurrent_runs_keep_their_own_reports(self, fleet):
         anonymizer = PureL(epsilon=0.5, signature_size=3, seed=31)
@@ -416,11 +415,3 @@ class TestConcurrencySafety:
         )
         assert coords_of(replay_second) == coords_of(second)
         assert coords_of(replay_second) != coords_of(first)
-
-    def test_last_report_alias_deprecated_on_engine(self, fleet):
-        engine = BatchAnonymizer(
-            PureL(epsilon=0.5, signature_size=3, seed=37), workers=1
-        )
-        engine.anonymize(fleet.dataset)
-        with pytest.warns(DeprecationWarning):
-            assert engine.last_report is not None

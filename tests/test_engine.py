@@ -177,18 +177,6 @@ class TestBatchAnonymizer:
             assert report is not None
             assert report.epsilon_total == pytest.approx(1.0)
 
-    def test_anonymize_many_updates_last_report(self, fleet):
-        """Regression: the sweep ran on worker-side instances and left
-        the wrapped anonymizer's last_report stale."""
-        engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=28), workers=2, executor="thread"
-        )
-        outcomes = engine.anonymize_many([fleet.dataset] * 2)
-        with pytest.warns(DeprecationWarning, match="last_report"):
-            refreshed = engine.last_report
-        assert refreshed is not None
-        assert refreshed.to_dict() == outcomes[-1][1].to_dict()
-
     def test_anonymize_many_advances_call_counter(self, fleet):
         """A sweep then a direct call must keep drawing fresh streams."""
         engine = BatchAnonymizer(

@@ -277,12 +277,13 @@ class TestOutOfBoundsSegments:
             assert got == want, strategy
         assert [round(d, 6) for _, d in unif.knn(q, 3)] == want
 
-    def test_iter_nearest_covers_overflow(self):
+    def test_full_knn_covers_overflow(self):
         hier, unif, registry = self._build()
         q = (671.0, 1125.0)
-        want = [sid for sid, _ in linear_knn(registry, q, len(registry))]
-        assert [sid for sid, _ in hier.iter_nearest(q)] == want
-        assert [sid for sid, _ in unif.iter_nearest(q)] == want
+        n = len(registry)
+        want = [sid for sid, _ in linear_knn(registry, q, n)]
+        assert [sid for sid, _ in hier.knn(q, n)] == want
+        assert [sid for sid, _ in unif.knn(q, n)] == want
 
     def test_remove_clears_overflow(self):
         hier = HierarchicalGridIndex(BOX, levels=5)
@@ -410,7 +411,7 @@ class TestKnnIfUnique:
         for sid in random.Random(seed).sample(live, min(removals, len(live))):
             index.remove(sid)
         got = index.knn_if_unique(q, k)
-        ordered = [d for _, d in index.iter_nearest(q)]
+        ordered = [d for _, d in index.knn(q, k + 1)]
         tied = len(ordered) > k and ordered[k - 1] == ordered[k]
         event("k-th distance tied" if tied else "untied")
         if tied:

@@ -13,8 +13,8 @@ from repro.core.local_mechanism import PFPerturbation
 from repro.core.modification import (
     InterTrajectoryModifier,
     IntraTrajectoryModifier,
+    apply_increase_selection,
     index_extent,
-    iter_nearest,
     make_index_factory,
     search_knn,
 )
@@ -333,63 +333,59 @@ class TestInterTrajectoryModifierEdgeCases:
         assert editables["a"].contains(loc)
 
     def test_nearest_segment_of_owner_skips_stale_sids(self):
+        """The stale-sid guard replaces a phantom sid (in the shared
+        index under the owner, unknown to the editable) with a live one."""
         modifier = self.make()
         dataset = TrajectoryDataset([traj("a", [(0, 100), (20, 100)])])
         shared = modifier.index_factory(index_extent(dataset.bbox()))
         editable = EditableTrajectory(dataset[0], shared)
         phantom = shared.insert((0.0, 0.0), (20.0, 0.0), owner="a")
-        found = modifier._nearest_segment_of_owner(shared, (10.0, 0.0), editable)
-        assert found is not None
-        assert found != phantom
-        assert editable.node_for_segment(found)
+        report = apply_increase_selection(
+            {"a": editable}, (10.0, 0.0), 1, [("a", phantom)]
+        )
+        assert report.insertions == 1
+        assert report.unrealised == 0
+        assert report.utility_loss == pytest.approx(100.0)
+        assert editable.contains((10.0, 0.0))
 
     def test_nearest_segment_of_owner_without_live_segments(self):
         modifier = self.make()
         dataset = TrajectoryDataset([traj("a", [(0, 100), (20, 100)])])
         shared = modifier.index_factory(index_extent(dataset.bbox()))
         editable = EditableTrajectory(dataset[0], shared)
+        (stale, _), = shared.knn((10.0, 100.0), 1)
         editable.detach()
-        assert (
-            modifier._nearest_segment_of_owner(shared, (10.0, 0.0), editable)
-            is None
+        report = apply_increase_selection(
+            {"a": editable}, (10.0, 0.0), 1, [("a", stale)]
         )
+        assert report.insertions == 0
+        assert report.unrealised == 1
+
+    def test_stale_sid_lost_to_split_uses_nearest_live_segment(self):
+        """A sid its owner already lost to a split is replaced by the
+        owner's nearest live segment to the new location."""
+        modifier = self.make()
+        dataset = TrajectoryDataset([traj("a", [(0, 0), (10, 0), (20, 0)])])
+        shared = modifier.index_factory(index_extent(dataset.bbox()))
+        editable = EditableTrajectory(dataset[0], shared)
+        (split, _), = shared.knn((5.0, 0.0), 1)
+        editable.insert_into_segment((5.0, 1.0), split)
+        assert not editable.node_for_segment(split)
+        # Live now: (0,0)-(5,1), (5,1)-(10,0), (10,0)-(20,0); the middle
+        # one is nearest to (7, 2).
+        report = apply_increase_selection(
+            {"a": editable}, (7.0, 2.0), 1, [("a", split)]
+        )
+        assert report.insertions == 1
+        assert report.unrealised == 0
+        assert [p.coord for p in editable.to_trajectory()] == [
+            (0.0, 0.0), (5.0, 1.0), (7.0, 2.0), (10.0, 0.0), (20.0, 0.0),
+        ]
 
     def test_rejects_unknown_candidate_source(self):
-        with pytest.raises(ValueError):
+        """The retired candidate_source option is no constructor knob."""
+        with pytest.raises(TypeError):
             InterTrajectoryModifier(candidate_source="oracle")
-
-    @pytest.mark.parametrize("backend", ["linear", "uniform", "hierarchical"])
-    def test_restart_and_incremental_select_equal_cost(self, backend):
-        """The engine's lazy frontier must make the same-cost selection
-        the seed restart-scan made (ties may pick a different owner)."""
-        import random as random_module
-
-        rng = random_module.Random(2)
-        trajectories = [
-            traj(
-                f"t{i}",
-                [
-                    (rng.uniform(0, 2000), rng.uniform(0, 2000))
-                    for _ in range(6)
-                ],
-            )
-            for i in range(10)
-        ]
-        loc = (1000.0, 1000.0)
-        perturbation = TFPerturbation(
-            original={loc: 0}, perturbed={loc: 4}, epsilon=1.0
-        )
-        losses = {}
-        for source in ("incremental", "restart"):
-            dataset = TrajectoryDataset([t.copy() for t in trajectories])
-            modifier = InterTrajectoryModifier(
-                make_index_factory(backend, levels=6, granularity=32),
-                candidate_source=source,
-            )
-            modified, report = modifier.apply(dataset, perturbation)
-            assert modified.trajectory_frequencies()[loc] == 4, source
-            losses[source] = report.utility_loss
-        assert losses["incremental"] == pytest.approx(losses["restart"])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_index_and_bbox_selection_agree_on_fleet(self, seed):
@@ -416,32 +412,6 @@ class TestInterTrajectoryModifierEdgeCases:
             assert modified.trajectory_frequencies()[loc] == 3, selection
             losses[selection] = report.utility_loss
         assert losses["index"] == pytest.approx(losses["bbox"], rel=1e-6)
-
-
-class TestIterNearestDispatch:
-    def test_native_backends_use_their_iterator(self):
-        index = make_index_factory("hierarchical", levels=5)(BBox(0, 0, 100, 100))
-        index.insert((0, 0), (10, 0))
-        index.insert((50, 50), (60, 50))
-        hits = list(iter_nearest(index, (5.0, 1.0)))
-        assert [sid for sid, _ in hits] == [0, 1]
-
-    def test_fallback_for_knn_only_indexes(self):
-        class KnnOnly:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def knn(self, q, k):
-                return self.inner.knn(q, k)
-
-            def __len__(self):
-                return len(self.inner)
-
-        inner = make_index_factory("linear")(BBox(0, 0, 100, 100))
-        inner.insert((0, 0), (10, 0))
-        inner.insert((50, 50), (60, 50))
-        hits = list(iter_nearest(KnnOnly(inner), (5.0, 1.0)))
-        assert [sid for sid, _ in hits] == [0, 1]
 
 
 class TestBBoxPrunedSelection:

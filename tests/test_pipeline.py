@@ -241,20 +241,7 @@ class TestAnonymization:
 
 
 class TestLastReportDeprecation:
-    """The silent alias era is over: reads and writes both warn."""
-
-    def test_read_warns_and_returns_latest_report(self, fleet):
-        anonymizer = PureL(epsilon=0.5, signature_size=3, seed=21)
-        anonymizer.anonymize(fleet.dataset)
-        with pytest.warns(DeprecationWarning, match="last_report is deprecated"):
-            report = anonymizer.last_report
-        assert report is not None
-        assert report.pf_perturbations is not None
-
-    def test_write_warns(self):
-        anonymizer = PureL(epsilon=0.5, signature_size=3, seed=22)
-        with pytest.warns(DeprecationWarning, match="last_report"):
-            anonymizer.last_report = None
+    """The retired last_report alias: reports travel with the result."""
 
     def test_documented_replacement_is_race_free(self, fleet):
         """anonymize_with_report returns the report with the result —
@@ -263,15 +250,4 @@ class TestLastReportDeprecation:
         result, report = anonymizer.anonymize_with_report(fleet.dataset)
         assert len(result) == len(fleet.dataset)
         assert report.pf_perturbations is not None
-        # The per-call path must not touch the deprecated alias.
-        assert anonymizer._last_report is None
-
-    def test_batch_engine_alias_warns(self, fleet):
-        from repro.engine.batch import BatchAnonymizer
-
-        engine = BatchAnonymizer(
-            PureL(epsilon=0.5, signature_size=3, seed=24), workers=1
-        )
-        engine.anonymize(fleet.dataset)
-        with pytest.warns(DeprecationWarning, match="last_report is deprecated"):
-            assert engine.last_report is not None
+        assert not hasattr(anonymizer, "last_report")

@@ -1,10 +1,10 @@
 """Wave-parallel global stage: planner/executor correctness.
 
 The load-bearing property: for any dataset, TF perturbation, and index
-backend, ``candidate_source="wave"`` must produce output **byte
-identical** to the serial per-location reference
-(``candidate_source="incremental"``) — point sequences, timestamps, and
-report tallies. Hypothesis drives datasets onto a small integer lattice
+backend, the wave path (``InterTrajectoryModifier.apply``) must produce
+output **byte identical** to the serial per-location reference
+(``InterTrajectoryModifier.apply_serial``) — point sequences,
+timestamps, and report tallies. Hypothesis drives datasets onto a small integer lattice
 so exact distance ties (the classic wave-reordering hazard) are common.
 """
 
@@ -19,10 +19,13 @@ from repro.core.edits import EditableTrajectory
 from repro.core.global_mechanism import TFPerturbation
 from repro.core.modification import (
     InterTrajectoryModifier,
+    apply_increase_selection,
     index_extent,
     make_index_factory,
+    select_nearest_owners,
 )
 from repro.core.waves import WavePlanner, WaveStats, _CreatedGeometry
+from repro.geo.geometry import point_segment_distance
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
 BACKENDS = ("linear", "uniform", "hierarchical", "rtree")
@@ -69,12 +72,13 @@ def snapshot(dataset) -> list:
 
 
 def apply_source(dataset, perturbation, backend, source, **kwargs):
+    """Run the global stage through ``"wave"`` or the ``"reference"``."""
     modifier = InterTrajectoryModifier(
-        make_index_factory(backend, levels=5, granularity=16),
-        candidate_source=source,
+        make_index_factory(backend, levels=5, granularity=16)
     )
     copy = TrajectoryDataset([t.copy() for t in dataset])
-    out, report = modifier.apply(copy, perturbation, **kwargs)
+    run = modifier.apply if source == "wave" else modifier.apply_serial
+    out, report = run(copy, perturbation, **kwargs)
     return modifier, out, report
 
 
@@ -100,7 +104,7 @@ class TestWaveByteIdentity:
         dataset = lattice_fleet(rng, rng.randint(2, 8), 8)
         perturbation = random_perturbation(rng, dataset)
         _, serial_out, serial_report = apply_source(
-            dataset, perturbation, backend, "incremental"
+            dataset, perturbation, backend, "reference"
         )
         modifier, wave_out, wave_report = apply_source(
             dataset, perturbation, backend, "wave"
@@ -121,7 +125,7 @@ class TestWaveByteIdentity:
         dataset = lattice_fleet(rng, rng.randint(3, 8), 8)
         perturbation = random_perturbation(rng, dataset)
         _, serial_out, serial_report = apply_source(
-            dataset, perturbation, "hierarchical", "incremental"
+            dataset, perturbation, "hierarchical", "reference"
         )
         with ThreadPoolExecutor(max_workers=4) as pool:
             _, wave_out, wave_report = apply_source(
@@ -153,7 +157,7 @@ class TestWaveByteIdentity:
             index.tf, len(fleet.dataset), random.Random(2)
         )
         _, serial_out, serial_report = apply_source(
-            fleet.dataset, perturbation, backend, "incremental"
+            fleet.dataset, perturbation, backend, "reference"
         )
         _, wave_out, wave_report = apply_source(
             fleet.dataset, perturbation, backend, "wave"
@@ -162,9 +166,63 @@ class TestWaveByteIdentity:
         assert report_key(wave_report) == report_key(serial_report)
 
 
+def brute_force_owners(shared, editables, loc, delta, eligible):
+    """First ``delta`` eligible owners of a full (distance, sid) sort."""
+    ranked = sorted(
+        (point_segment_distance(loc, segment.a, segment.b), sid, segment.owner)
+        for editable in editables.values()
+        for sid in editable._node_by_sid
+        for segment in (shared.segment(sid),)
+    )
+    chosen = {}
+    for _, sid, owner in ranked:
+        if owner in eligible and owner not in chosen:
+            chosen[owner] = sid
+            if len(chosen) >= delta:
+                break
+    return chosen
+
+
+class TestReferenceSelection:
+    """The serial reference's index selection is exact: it picks what
+    a brute-force (distance, sid) sort of every live segment picks,
+    ties at its kNN window edge included."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_matches_brute_force_sort(self, backend, seed):
+        rng = random.Random(seed)
+        dataset = lattice_fleet(rng, rng.randint(2, 8), 8)
+        perturbation = random_perturbation(rng, dataset)
+        strategy = rng.choice(("top_down", "bottom_up", "bottom_up_down"))
+        shared = make_index_factory(backend, levels=5, granularity=16)(
+            index_extent(dataset.bbox())
+        )
+        editables = {
+            t.object_id: EditableTrajectory(t.copy(), shared) for t in dataset
+        }
+        # Each selection is applied, so later locations search an index
+        # whose sids and geometry the earlier splits changed.
+        for loc, delta in sorted(perturbation.increases()):
+            eligible = {
+                object_id
+                for object_id, editable in editables.items()
+                if not editable.contains(loc)
+            }
+            chosen = select_nearest_owners(shared, loc, delta, eligible, strategy)
+            expected = brute_force_owners(shared, editables, loc, delta, eligible)
+            assert list(chosen.items()) == list(expected.items())
+            apply_increase_selection(editables, loc, delta, list(chosen.items()))
+
+
 class TestWaveMachinery:
     def test_empty_dataset(self):
-        modifier = InterTrajectoryModifier(candidate_source="wave")
+        modifier = InterTrajectoryModifier()
         perturbation = TFPerturbation(
             original={(0.0, 0.0): 1}, perturbed={(0.0, 0.0): 2}, epsilon=1.0
         )
@@ -186,7 +244,7 @@ class TestWaveMachinery:
         dataset = lattice_fleet(rng, 6, 8)
         perturbation = random_perturbation(rng, dataset)
         _, serial_out, _ = apply_source(
-            dataset, perturbation, "hierarchical", "incremental"
+            dataset, perturbation, "hierarchical", "reference"
         )
         # Drive the planner/executor manually with chunk_size=1.
         from repro.core import waves
@@ -200,7 +258,7 @@ class TestWaveMachinery:
         from repro.core.modification import ModificationReport
 
         planner = waves.WavePlanner(shared, editables, chunk_size=1)
-        executor = waves.WaveExecutor(shared, editables)
+        executor = waves.WaveExecutor(editables)
         report = ModificationReport()
         for kind, pending in perturbation.schedule():
             while pending:
