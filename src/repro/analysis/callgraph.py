@@ -122,12 +122,6 @@ class FunctionTable:
         return key if key in self.functions else None
 
 
-#: Backwards-compatible private aliases (pre-dataflow callers).
-_FuncKey = FuncKey
-_FuncNode = FuncNode
-_FunctionTable = FunctionTable
-
-
 def param_names(func: ast.AST) -> list[str]:
     """Positional parameter names of ``func``, in call order."""
     args = func.args
@@ -483,7 +477,7 @@ class UnlockedSharedWrite(Rule):
     example = "def _worker(self, job): self.cache = build()  # needs a lock"
 
     def check(self, project: Project) -> Iterable[Finding]:
-        table = _FunctionTable(project)
+        table = FunctionTable(project)
         entries = self._entry_points(project, table)
         reachable = self._reach(table, entries)
         seen: set[tuple[str, int, int]] = set()
@@ -514,10 +508,10 @@ class UnlockedSharedWrite(Rule):
     # -- entry-point discovery ----------------------------------------
 
     def _entry_points(
-        self, project: Project, table: _FunctionTable
-    ) -> dict[_FuncKey, str]:
+        self, project: Project, table: FunctionTable
+    ) -> dict[FuncKey, str]:
         """``{function: human label of the submitting call site}``."""
-        entries: dict[_FuncKey, str] = {}
+        entries: dict[FuncKey, str] = {}
         for module in project.modules:
             for cls, func, call in _calls_with_context(module.tree):
                 worker = self._worker_argument(module, call)
@@ -549,19 +543,19 @@ class UnlockedSharedWrite(Rule):
 
     def _resolve_callable(
         self,
-        table: _FunctionTable,
+        table: FunctionTable,
         module: ModuleInfo,
         cls: ast.ClassDef | None,
         func: ast.AST | None,
         node: ast.expr,
         seen: set[int] | None = None,
-    ) -> list[_FuncKey]:
+    ) -> list[FuncKey]:
         """Function(s) a worker-callable expression may denote."""
         seen = set() if seen is None else seen
         if id(node) in seen:
             return []
         seen.add(id(node))
-        keys: list[_FuncKey] = []
+        keys: list[FuncKey] = []
         if isinstance(node, ast.Call):
             # functools.partial(fn, ...): the eventual callable is fn.
             dotted = module.qualified(node.func) or module.dotted(node.func) or ""
@@ -616,9 +610,9 @@ class UnlockedSharedWrite(Rule):
     # -- reachability --------------------------------------------------
 
     def _reach(
-        self, table: _FunctionTable, entries: dict[_FuncKey, str]
-    ) -> dict[_FuncKey, str]:
-        reachable: dict[_FuncKey, str] = {}
+        self, table: FunctionTable, entries: dict[FuncKey, str]
+    ) -> dict[FuncKey, str]:
+        reachable: dict[FuncKey, str] = {}
         stack = list(entries.items())
         while stack:
             key, entry = stack.pop()
@@ -633,11 +627,11 @@ class UnlockedSharedWrite(Rule):
                     stack.append((callee, entry))
         return reachable
 
-    def _edges(self, table: _FunctionTable, func: _FuncNode) -> list[_FuncKey]:
+    def _edges(self, table: FunctionTable, func: FuncNode) -> list[FuncKey]:
         module = func.module
         cls = func.key.cls
         aliases = _local_self_aliases(func.node)
-        edges: list[_FuncKey] = []
+        edges: list[FuncKey] = []
         for node in ast.walk(func.node):
             if not isinstance(node, ast.Call):
                 continue

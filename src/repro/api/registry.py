@@ -15,9 +15,10 @@ may either call :func:`register` itself at import time or simply *be*
 a factory callable, which is then registered under the entry-point
 name.
 
-Factories import their implementation modules lazily, so importing
-``repro.api`` stays cheap and the registry itself is a leaf above
-:mod:`repro.api.spec` only.
+The frequency factories derive their signatures from
+:class:`~repro.core.pipeline.FrequencyAnonymizer`, which
+``repro.api`` imports anyway; the baseline factories import their
+implementation modules lazily, so importing ``repro.api`` stays cheap.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.api.spec import MethodSpec
+from repro.core.pipeline import GL, FrequencyAnonymizer, PureG, PureL
 
 #: Entry-point group scanned for third-party method plugins.
 ENTRY_POINT_GROUP = "repro.methods"
@@ -209,132 +211,67 @@ def build(spec: MethodSpec | str):
 
 # -- built-in methods -----------------------------------------------------------
 #
-# Factory signatures mirror the underlying constructors exactly; they
-# are the declared public contract that tools/check_api.py snapshots
-# and tests/test_api.py verifies against the classes.
+# Factory signatures are the declared public contract that
+# tools/check_api.py snapshots and tests/test_api.py verifies against
+# the classes. The frequency family's contract is derived from
+# FrequencyAnonymizer itself, so its parameters are listed only there.
 
-
-@register(
-    "frequency",
-    summary="FrequencyAnonymizer with an explicit epsilon_global/epsilon_local"
-    " split (the engine's canonical payload)",
-    family="frequency",
+#: The frequency family: (kind, class, summary, pipeline parameters the
+#: class fixes itself). A subclass's own ``epsilon`` (with its default)
+#: replaces the dropped names at the front.
+_FREQUENCY_METHODS = (
+    (
+        "frequency",
+        FrequencyAnonymizer,
+        "FrequencyAnonymizer with an explicit epsilon_global/epsilon_local"
+        " split (the engine's canonical payload)",
+        (),
+    ),
+    (
+        "gl",
+        GL,
+        "GL: global + local frequency randomization, eps split evenly"
+        " (the paper's full model)",
+        ("epsilon_global", "epsilon_local"),
+    ),
+    (
+        "pureg",
+        PureG,
+        "PureG: global TF randomization only (eps = eps_G)",
+        ("epsilon_global", "epsilon_local", "global_first"),
+    ),
+    (
+        "purel",
+        PureL,
+        "PureL: local PF randomization only (eps = eps_L)",
+        ("epsilon_global", "epsilon_local", "global_first"),
+    ),
 )
-def _frequency(
-    epsilon_global: float | None = 0.5,
-    epsilon_local: float | None = 0.5,
-    signature_size: int = 10,
-    index_backend: str = "hierarchical",
-    search_strategy: str = "bottom_up_down",
-    trajectory_selection: str = "index",
-    levels: int = 10,
-    granularity: int = 512,
-    global_first: bool = True,
-    seed: int | None = None,
-):
-    from repro.core.pipeline import FrequencyAnonymizer
-
-    return FrequencyAnonymizer(
-        epsilon_global=epsilon_global,
-        epsilon_local=epsilon_local,
-        signature_size=signature_size,
-        index_backend=index_backend,
-        search_strategy=search_strategy,
-        trajectory_selection=trajectory_selection,
-        levels=levels,
-        granularity=granularity,
-        global_first=global_first,
-        seed=seed,
-    )
 
 
-@register(
-    "gl",
-    summary="GL: global + local frequency randomization, eps split evenly"
-    " (the paper's full model)",
-    family="frequency",
-)
-def _gl(
-    epsilon: float = 1.0,
-    signature_size: int = 10,
-    index_backend: str = "hierarchical",
-    search_strategy: str = "bottom_up_down",
-    trajectory_selection: str = "index",
-    levels: int = 10,
-    granularity: int = 512,
-    global_first: bool = True,
-    seed: int | None = None,
-):
-    from repro.core.pipeline import GL
+def _frequency_factory(cls: type, dropped: tuple[str, ...]) -> Callable[..., Any]:
+    """A factory for ``cls`` whose signature is the pipeline's, less
+    ``dropped``, behind the class's own leading parameters."""
+    own = [
+        parameter
+        for parameter in inspect.signature(cls).parameters.values()
+        if parameter.kind is not inspect.Parameter.VAR_KEYWORD
+    ]
+    names = {parameter.name for parameter in own} | set(dropped)
+    pipeline = inspect.signature(FrequencyAnonymizer).parameters.values()
+    inherited = [parameter for parameter in pipeline if parameter.name not in names]
+    signature = inspect.Signature(own + inherited)
 
-    return GL(
-        epsilon=epsilon,
-        signature_size=signature_size,
-        index_backend=index_backend,
-        search_strategy=search_strategy,
-        trajectory_selection=trajectory_selection,
-        levels=levels,
-        granularity=granularity,
-        global_first=global_first,
-        seed=seed,
-    )
+    def factory(*args, **kwargs):
+        return cls(**signature.bind(*args, **kwargs).arguments)
+
+    factory.__signature__ = signature
+    return factory
 
 
-@register(
-    "pureg",
-    summary="PureG: global TF randomization only (eps = eps_G)",
-    family="frequency",
-)
-def _pureg(
-    epsilon: float = 0.5,
-    signature_size: int = 10,
-    index_backend: str = "hierarchical",
-    search_strategy: str = "bottom_up_down",
-    trajectory_selection: str = "index",
-    levels: int = 10,
-    granularity: int = 512,
-    seed: int | None = None,
-):
-    from repro.core.pipeline import PureG
-
-    return PureG(
-        epsilon=epsilon,
-        signature_size=signature_size,
-        index_backend=index_backend,
-        search_strategy=search_strategy,
-        trajectory_selection=trajectory_selection,
-        levels=levels,
-        granularity=granularity,
-        seed=seed,
-    )
-
-
-@register(
-    "purel",
-    summary="PureL: local PF randomization only (eps = eps_L)",
-    family="frequency",
-)
-def _purel(
-    epsilon: float = 0.5,
-    signature_size: int = 10,
-    index_backend: str = "hierarchical",
-    search_strategy: str = "bottom_up_down",
-    trajectory_selection: str = "index",
-    levels: int = 10,
-    granularity: int = 512,
-    seed: int | None = None,
-):
-    from repro.core.pipeline import PureL
-
-    return PureL(
-        epsilon=epsilon,
-        signature_size=signature_size,
-        index_backend=index_backend,
-        search_strategy=search_strategy,
-        trajectory_selection=trajectory_selection,
-        levels=levels,
-        granularity=granularity,
-        seed=seed,
+for _kind, _cls, _summary, _dropped in _FREQUENCY_METHODS:
+    register(_kind, summary=_summary, family="frequency")(
+        _frequency_factory(_cls, _dropped)
     )
 
 

@@ -189,7 +189,6 @@ def publish(
     publish_executor: str = "process",
     spill_dir: str | os.PathLike | None = None,
     window: int | None = None,
-    apportionment: str = "balanced",
     sink: Callable | None = None,
     byte_sink: Callable | None = None,
 ):
@@ -240,7 +239,6 @@ def publish(
         executor=publish_executor,
         spill_dir=spill_dir,
         window=window,
-        apportionment=apportionment,
     )
     if engine == "batch":
         front = BatchAnonymizer(

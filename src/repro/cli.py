@@ -18,9 +18,9 @@ Dataset arguments accept a planar CSV path, a preprocessed-artifact
 directory, or an ingested registry name (see ``docs/data.md``).
 
 ``anonymize`` is a thin shell over :func:`repro.api.run`: pick a
-method with ``--model`` (the paper's GL/PureG/PureL) or ``--method``
-(any registry kind, including every baseline and third-party
-plugins), tune it with the shared flags plus repeatable
+method with ``--method`` (or its alias ``--model``): any registry
+kind, the paper's GL/PureG/PureL as well as every baseline and
+third-party plugin. Tune it with the shared flags plus repeatable
 ``--param name=value`` overrides.
 
 Example session::
@@ -52,8 +52,6 @@ from repro.metrics.utility import (
 from repro.data.registry import DatasetRegistry, load_dataset
 from repro.trajectory.io import write_csv
 
-MODELS = ("gl", "pureg", "purel")
-
 
 def _add_method_args(parser: argparse.ArgumentParser) -> None:
     """The shared method-selection flags of ``anonymize``/``publish``.
@@ -61,13 +59,14 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
     One definition so the two subcommands (both feeding
     :func:`_build_spec`) can never drift apart.
     """
-    parser.add_argument("--model", choices=MODELS, default="gl")
     parser.add_argument(
         "--method",
-        default=None,
+        "--model",
+        dest="method",
+        default="gl",
         metavar="NAME",
         help="any registered method kind (see `repro methods`); "
-        "overrides --model",
+        "--model is an alias",
     )
     parser.add_argument(
         "--param",
@@ -551,13 +550,12 @@ def _parse_param(override: str) -> tuple[str, object]:
 def _build_spec(args: argparse.Namespace) -> MethodSpec:
     """The :class:`MethodSpec` an ``anonymize`` invocation describes.
 
-    ``--method`` (any registry kind) overrides ``--model``. Shared
+    ``--method``/``--model`` names any registry kind. Shared
     flags (``--epsilon``/``--seed``/...) flow into the spec only when
     the chosen method declares the matching parameter; ``--param``
     overrides win last and may name any declared parameter.
     """
-    kind = args.method or args.model
-    info = method_info(kind)  # raises listing alternatives
+    info = method_info(args.method)  # raises listing alternatives
     accepted = set(info.signature.parameters)
     flags = {
         "epsilon": args.epsilon,
@@ -570,7 +568,7 @@ def _build_spec(args: argparse.Namespace) -> MethodSpec:
     for override in args.param or ():
         name, value = _parse_param(override)
         params[name] = value
-    return MethodSpec(kind, params)
+    return MethodSpec(args.method, params)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:

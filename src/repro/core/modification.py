@@ -30,7 +30,6 @@ from repro.geo.geometry import BBox, Coord
 from repro.index.base import SegmentIndex
 from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
-from repro.index.search import knn_batch_via_knn
 from repro.index.uniform import UniformGridIndex
 from repro.trajectory.model import LocationKey, Trajectory, TrajectoryDataset
 
@@ -65,8 +64,7 @@ def make_index_factory(
 ) -> IndexFactory:
     """A factory building the requested index backend over a bbox.
 
-    ``backend`` is one of ``"linear"``, ``"uniform"``, ``"hierarchical"``,
-    or ``"rtree"``.
+    ``backend`` is one of ``"linear"``, ``"uniform"`` or ``"hierarchical"``.
     """
     if backend == "linear":
         return lambda bbox: LinearSegmentIndex()
@@ -74,10 +72,6 @@ def make_index_factory(
         return lambda bbox: UniformGridIndex(bbox, granularity=granularity)
     if backend == "hierarchical":
         return lambda bbox: HierarchicalGridIndex(bbox, levels=levels)
-    if backend == "rtree":
-        from repro.index.rtree import RTreeIndex
-
-        return lambda bbox: RTreeIndex()
     raise ValueError(f"unknown index backend {backend!r}")
 
 
@@ -96,10 +90,7 @@ def search_knn_batch(
     """Dispatch a batched kNN, passing the strategy where supported."""
     if isinstance(index, HierarchicalGridIndex):
         return index.knn_batch(qs, k, strategy=strategy)
-    native = getattr(index, "knn_batch", None)
-    if native is not None:
-        return native(qs, k)
-    return knn_batch_via_knn(index, qs, k)
+    return index.knn_batch(qs, k)
 
 
 @dataclass(slots=True)

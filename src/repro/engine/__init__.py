@@ -37,7 +37,6 @@ from repro.engine.pool import (
     resolve_workers,
 )
 from repro.engine.publish import (
-    APPORTIONMENT_KINDS,
     PublishReport,
     SharedTFEstimate,
     StreamPublisher,
@@ -47,7 +46,6 @@ from repro.engine.publish import (
 from repro.engine.spill import SpillError, SpillStore
 
 __all__ = [
-    "APPORTIONMENT_KINDS",
     "BatchAnonymizer",
     "EXECUTOR_KINDS",
     "PublishReport",

@@ -18,18 +18,14 @@ is byte-identical to the serial path for the same seed.
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.core.local_mechanism import LocalPFMechanism
-from repro.core.modification import IntraTrajectoryModifier, make_index_factory
 from repro.core.pipeline import (
     AnonymizationReport,
     FrequencyAnonymizer,
     LocalResult,
-    local_stream_seed,
 )
 from repro.core.signature import SignatureIndex
 from repro.engine.pool import (
@@ -49,42 +45,26 @@ if TYPE_CHECKING:  # engine sits below repro.api; runtime imports are lazy
 class _LocalShard:
     """Everything one worker needs to run the local stage on a slice.
 
-    Plain data only — this crosses a process boundary. The signature
-    index is trimmed to the shard's own trajectories (the candidate set
-    and TF restriction stay global, as the mechanism requires).
+    Plain data only — this crosses a process boundary: the pipeline
+    travels as its :meth:`FrequencyAnonymizer.config` and is rebuilt in
+    the worker. The signature index is trimmed to the shard's own
+    trajectories (the candidate set and TF restriction stay global, as
+    the mechanism requires).
     """
 
+    params: dict
     trajectories: list[Trajectory]
     signature_index: SignatureIndex
-    seeds: list[int]
-    epsilon_local: float
-    signature_size: int
-    index_backend: str
-    levels: int
-    granularity: int
-    search_strategy: str
+    base_seed: int
 
 
 def _run_local_shard(shard: _LocalShard) -> list[LocalResult]:
-    """Worker: the exact serial per-trajectory loop, on one shard."""
-    mechanism = LocalPFMechanism(shard.epsilon_local, m=shard.signature_size)
-    intra = IntraTrajectoryModifier(
-        make_index_factory(
-            backend=shard.index_backend,
-            levels=shard.levels,
-            granularity=shard.granularity,
-        ),
-        strategy=shard.search_strategy,
+    """Worker: the pipeline's own serial local loop, on one shard."""
+    return FrequencyAnonymizer(**shard.params)._run_local_serial(
+        TrajectoryDataset(shard.trajectories),
+        shard.signature_index,
+        shard.base_seed,
     )
-    results: list[LocalResult] = []
-    for trajectory, seed in zip(shard.trajectories, shard.seeds, strict=True):
-        rng = random.Random(seed)
-        perturbation = mechanism.perturb_trajectory(
-            trajectory, shard.signature_index, rng
-        )
-        modified, report = intra.apply(trajectory, perturbation)
-        results.append((trajectory.object_id, perturbation, modified, report))
-    return results
 
 
 def _anonymize_one(payload: tuple[MethodSpec, int, TrajectoryDataset]):
@@ -315,7 +295,6 @@ class BatchAnonymizer:
         publish_executor: str = "process",
         spill_dir=None,
         window: int | None = None,
-        apportionment: str = "balanced",
     ):
         """Publish a chunked stream as **one** ε-DP release.
 
@@ -338,7 +317,6 @@ class BatchAnonymizer:
             executor=publish_executor,
             spill_dir=spill_dir,
             window=window,
-            apportionment=apportionment,
         ) as publisher:
             return publisher.publish(chunks, sink=sink, byte_sink=byte_sink)
 
@@ -390,7 +368,6 @@ class BatchAnonymizer:
         signature_index: SignatureIndex,
         base_seed: int,
     ) -> _LocalShard:
-        anonymizer = self.anonymizer
         trimmed = SignatureIndex(
             m=signature_index.m,
             signatures={
@@ -401,17 +378,10 @@ class BatchAnonymizer:
             tf=signature_index.tf,
         )
         return _LocalShard(
+            params=self.anonymizer.config(),
             trajectories=chunk,
             signature_index=trimmed,
-            seeds=[
-                local_stream_seed(base_seed, t.object_id) for t in chunk
-            ],
-            epsilon_local=anonymizer.epsilon_local,
-            signature_size=anonymizer.signature_size,
-            index_backend=anonymizer.index_backend,
-            levels=anonymizer.levels,
-            granularity=anonymizer.granularity,
-            search_strategy=anonymizer.search_strategy,
+            base_seed=base_seed,
         )
 
 

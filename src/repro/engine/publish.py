@@ -17,7 +17,7 @@ protocol that publishes one consistent ε-DP release of the entire
   with the global mechanism's ε_G — the only whole-dataset mechanism
   invocation.
 * **Pass 2 — realise.**  Apportion each location's shared TF delta
-  across the chunks (balanced by default — see :meth:`chunk_targets`),
+  across the chunks (balanced — see :meth:`chunk_targets`),
   replay each chunk from its spill, and anonymize it via the existing
   wave pipeline with its apportioned target injected (``tf_target``) —
   pure modification, no fresh TF draw.  The local PF stage runs per
@@ -62,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.core.accounting import WHOLE_DATASET, CompositionLedger, apportion
+from repro.core.accounting import WHOLE_DATASET, CompositionLedger
 from repro.core.global_mechanism import TFPerturbation
 from repro.core.modification import ModificationReport
 from repro.core.pipeline import (
@@ -103,9 +103,6 @@ ChunkSource = Callable[[], Iterable[TrajectoryDataset]]
 SHARED_TF_LABEL = "global TF randomization"
 #: Parallel group of the per-chunk local PF draws.
 LOCAL_GROUP = "local PF randomization"
-
-#: How :meth:`StreamPublisher.chunk_targets` splits shared TF deltas.
-APPORTIONMENT_KINDS = ("balanced", "proportional")
 
 
 def chunk_source(
@@ -378,9 +375,6 @@ class StreamPublisher:
         In-flight bound for the pass-1/pass-2 pipeline — at most this
         many chunks are spilled-but-unpublished at once, capping
         memory and spill disk. Default ``max(4, 2 * workers)``.
-    apportionment:
-        ``"balanced"`` (default) or ``"proportional"`` — see
-        :meth:`chunk_targets`.
     """
 
     def __init__(
@@ -391,7 +385,6 @@ class StreamPublisher:
         executor: str = "process",
         spill_dir=None,
         window: int | None = None,
-        apportionment: str = "balanced",
     ) -> None:
         if isinstance(engine, BatchAnonymizer):
             self.engine = engine
@@ -407,11 +400,6 @@ class StreamPublisher:
         if executor not in EXECUTOR_KINDS:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
-            )
-        if apportionment not in APPORTIONMENT_KINDS:
-            raise ValueError(
-                f"unknown apportionment {apportionment!r}; choose from "
-                f"{APPORTIONMENT_KINDS}"
             )
         if window is not None and window < 1:
             raise ValueError(f"window must be at least 1, got {window}")
@@ -431,7 +419,6 @@ class StreamPublisher:
         self.window = (
             max(4, 2 * self.workers) if window is None else window
         )
-        self.apportionment = apportionment
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------------
@@ -502,23 +489,17 @@ class StreamPublisher:
         bounded by how many of the chunk's trajectories contain the
         location (you cannot delete what is not there), increases by
         how many do *not* (an insertion targets a trajectory without
-        the location). Two shapes satisfy that invariant:
+        the location).
 
-        * ``"balanced"`` (default): give each location's whole delta
-          to as *few* chunks as possible, preferring the chunk with
-          the least delta assigned so far. Chunks end up with
-          near-equal total work but far fewer *distinct* perturbed
-          locations each, and wave planning scales with distinct
-          locations — measured ~20% less pass-2 wall-clock at paper
-          scale than proportional spreading, which is what flips
-          shared-TF publishing past per-chunk throughput.
-        * ``"proportional"``: spread each delta across all chunks
-          proportionally to capacity with largest-remainder rounding —
-          the historical behaviour, closest to "every chunk looks like
-          a miniature of the dataset".
+        The split is *balanced*: each location's whole delta goes to
+        as few chunks as possible, preferring the chunk with the least
+        delta assigned so far. Chunks end up with near-equal total
+        work but few *distinct* perturbed locations each, and wave
+        planning scales with distinct locations — measured ~20% less
+        pass-2 wall-clock at paper scale than spreading every delta
+        across all chunks in proportion to capacity.
 
-        A single chunk receives the shared perturbation verbatim under
-        either mode.
+        A single chunk receives the shared perturbation verbatim.
         """
         shared = estimate.perturbation
         if shared is None:
@@ -526,7 +507,6 @@ class StreamPublisher:
         k = estimate.chunk_count
         deltas: list[dict[LocationKey, int]] = [{} for _ in range(k)]
         load = [0] * k
-        balanced = self.apportionment == "balanced"
         for loc in sorted(shared.original):
             d = shared.perturbed[loc] - shared.original[loc]
             if d == 0:
@@ -536,10 +516,7 @@ class StreamPublisher:
                 caps = [estimate.chunk_sizes[i] - origs[i] for i in range(k)]
             else:
                 caps = origs
-            if balanced:
-                shares = self._balanced_shares(abs(d), caps, load)
-            else:
-                shares = apportion(abs(d), caps, caps)
+            shares = self._balanced_shares(abs(d), caps, load)
             for i, share in enumerate(shares):
                 if share:
                     deltas[i][loc] = share if d > 0 else -share

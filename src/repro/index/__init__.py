@@ -17,7 +17,6 @@ point-to-segment distance (Equation 3) to the query point.
 from repro.index.base import IndexedSegment, SegmentIndex
 from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
-from repro.index.rtree import RTreeIndex
 from repro.index.uniform import UniformGridIndex
 from repro.index.search import linear_knn
 
@@ -25,7 +24,6 @@ __all__ = [
     "HierarchicalGridIndex",
     "IndexedSegment",
     "LinearSegmentIndex",
-    "RTreeIndex",
     "SegmentIndex",
     "UniformGridIndex",
     "linear_knn",

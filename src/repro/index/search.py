@@ -62,8 +62,8 @@ def knn_batch_via_knn(
 ) -> list[list[tuple[int, float]]]:
     """Fallback ``knn_batch``: answer each query with a plain ``knn``.
 
-    Backends without cross-query structure sharing (linear scan,
-    R-tree) satisfy the batched protocol with this; grid indexes
+    Backends without cross-query structure sharing (the linear scan)
+    satisfy the batched protocol with this; grid indexes
     override it natively to reuse per-cell segment batches.
     """
     return [index.knn(q, k) for q in qs]

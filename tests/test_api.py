@@ -210,7 +210,7 @@ class TestRegistry:
 
     def test_default_params_match_constructors(self):
         """Factory signatures are the public contract — they must not
-        drift from the constructors they wrap."""
+        drift from the constructors they wrap, in content or order."""
         import inspect
 
         from repro.baselines.adatrace import AdaTrace
@@ -222,6 +222,14 @@ class TestRegistry:
             SignatureClosure,
         )
         from repro.baselines.w4m import W4M
+        from repro.core.pipeline import GL, PureG, PureL
+
+        def defaults(parameters):
+            return [
+                (parameter.name, parameter.default)
+                for parameter in parameters
+                if parameter.default is not inspect.Parameter.empty
+            ]
 
         pairs = {
             "frequency": FrequencyAnonymizer,
@@ -233,14 +241,26 @@ class TestRegistry:
             "dpt": DPT,
             "adatrace": AdaTrace,
         }
-        for kind, cls in pairs.items():
-            declared = method_info(kind).default_params()
-            actual = {
-                name: parameter.default
-                for name, parameter in inspect.signature(cls).parameters.items()
-                if parameter.default is not inspect.Parameter.empty
-            }
-            assert declared == actual, f"{kind} drifted from {cls.__name__}"
+        expected = {
+            kind: defaults(inspect.signature(cls).parameters.values())
+            for kind, cls in pairs.items()
+        }
+        # The paper's models fix the two-budget split (PureG/PureL also
+        # the stage order) and take every other pipeline parameter.
+        pipeline = inspect.signature(FrequencyAnonymizer).parameters.values()
+        split = {"epsilon_global", "epsilon_local"}
+        for kind, cls, fixed in (
+            ("gl", GL, split),
+            ("pureg", PureG, split | {"global_first"}),
+            ("purel", PureL, split | {"global_first"}),
+        ):
+            epsilon = inspect.signature(cls).parameters["epsilon"]
+            expected[kind] = defaults(
+                [epsilon, *(p for p in pipeline if p.name not in fixed)]
+            )
+        for kind, params in expected.items():
+            declared = list(method_info(kind).default_params().items())
+            assert declared == params, f"{kind} drifted from its constructor"
 
     def test_entry_point_discovery_tolerates_absence(self, monkeypatch):
         monkeypatch.setattr(registry_module, "_PLUGINS_LOADED", False)

@@ -120,7 +120,7 @@ class TestAnonymizeMethod:
         assert code == 0
         assert "rsc" in capsys.readouterr().out
 
-    def test_method_overrides_model(self, fleet_csv, tmp_path, capsys):
+    def test_last_method_spelling_wins(self, fleet_csv, tmp_path, capsys):
         out = tmp_path / "p.csv"
         code = main(
             [

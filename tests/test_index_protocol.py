@@ -1,6 +1,6 @@
 """Protocol-compliance tests: every backend honours SegmentIndex.
 
-Parametrized over all four implementations so a new backend gets the
+Parametrized over every implementation so a new backend gets the
 full behavioural contract for free.
 """
 
@@ -12,7 +12,6 @@ from repro.geo.geometry import BBox
 from repro.index import (
     HierarchicalGridIndex,
     LinearSegmentIndex,
-    RTreeIndex,
     SegmentIndex,
     UniformGridIndex,
 )
@@ -27,7 +26,6 @@ BACKENDS = {
         BOX, granularity=32, assignment="midpoint"
     ),
     "hierarchical": lambda: HierarchicalGridIndex(BOX, levels=6),
-    "rtree": lambda: RTreeIndex(leaf_capacity=4),
 }
 
 

@@ -332,46 +332,18 @@ class TestParallelByteIdentity:
 
 class TestApportionmentModes:
     def test_both_modes_apportion_exactly(self, fleet):
-        for mode in ("balanced", "proportional"):
-            publisher = StreamPublisher(
-                GL(epsilon=1.0, signature_size=3, seed=9), apportionment=mode
+        """Balanced, the one remaining mode, splits every shared delta
+        exactly and keeps each chunk's target inside [0, |chunk|]."""
+        publisher = StreamPublisher(GL(epsilon=1.0, signature_size=3, seed=9))
+        estimate = publisher.estimate(chunked(iter(fleet.dataset), 3))
+        targets = publisher.chunk_targets(estimate)
+        shared = estimate.perturbation
+        for loc in shared.original:
+            assert sum(t.perturbed.get(loc, 0) for t in targets) == (
+                shared.perturbed[loc]
             )
-            estimate = publisher.estimate(chunked(iter(fleet.dataset), 3))
-            targets = publisher.chunk_targets(estimate)
-            shared = estimate.perturbation
-            for loc in shared.original:
-                assert sum(t.perturbed.get(loc, 0) for t in targets) == (
-                    shared.perturbed[loc]
-                )
-            for target, size in zip(
-                targets, estimate.chunk_sizes, strict=True
-            ):
-                assert all(0 <= c <= size for c in target.perturbed.values())
-
-    def test_balanced_touches_fewer_locations(self, fleet):
-        """The perf lever: balanced concentrates each location's delta
-        on few chunks, so chunks see fewer distinct perturbed
-        locations than under proportional spreading."""
-
-        def touched(mode):
-            publisher = StreamPublisher(
-                GL(epsilon=1.0, signature_size=3, seed=9), apportionment=mode
-            )
-            estimate = publisher.estimate(chunked(iter(fleet.dataset), 3))
-            targets = publisher.chunk_targets(estimate)
-            return sum(
-                sum(1 for l in t.original if t.perturbed[l] != t.original[l])
-                for t in targets
-            )
-
-        assert touched("balanced") <= touched("proportional")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="apportionment"):
-            StreamPublisher(
-                GL(epsilon=1.0, signature_size=3, seed=9),
-                apportionment="random",
-            )
+        for target, size in zip(targets, estimate.chunk_sizes, strict=True):
+            assert all(0 <= c <= size for c in target.perturbed.values())
 
 
 # -- overlap -------------------------------------------------------------------

@@ -76,13 +76,13 @@ class TestRace001Visibility:
         import repro.serve.jobs as jobs_module
         from repro.analysis.callgraph import (
             UnlockedSharedWrite,
-            _FunctionTable,
+            FunctionTable,
         )
         from repro.analysis.runner import load_project
 
         project = load_project([Path(jobs_module.__file__)])
         rule = UnlockedSharedWrite()
-        entries = rule._entry_points(project, _FunctionTable(project))
+        entries = rule._entry_points(project, FunctionTable(project))
         assert "repro.serve.jobs.JobRunner._execute" in {
             key.label() for key in entries
         }

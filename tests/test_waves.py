@@ -28,7 +28,7 @@ from repro.core.waves import WavePlanner, WaveStats, _CreatedGeometry
 from repro.geo.geometry import point_segment_distance
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
-BACKENDS = ("linear", "uniform", "hierarchical", "rtree")
+BACKENDS = ("linear", "uniform", "hierarchical")
 
 
 def lattice_fleet(rng: random.Random, n_objects: int, n_points: int):
